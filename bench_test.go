@@ -143,10 +143,11 @@ func BenchmarkAblationLPL(b *testing.B) { run(b, exp.AblationLPL) }
 func BenchmarkAblationSpatial(b *testing.B) { run(b, exp.AblationSpatial) }
 
 // BenchmarkQueryThroughput measures the async query engine end to end on
-// a 4-proxy deployment at 1 and 4 shards: each iteration submits a batch
-// of range queries spread over every mote and waits for all results.
-// With one shard a single worker settles every domain; with four the
-// domains advance concurrently, so queries/sec should scale with cores.
+// a 4-proxy deployment at 1 and 4 shards: each iteration puts four
+// fleet-wide PAST specs in flight at once — one range query per mote
+// each — and waits for all of them. With one shard a single worker
+// settles every domain; with four the domains advance concurrently, so
+// queries/sec should scale with cores. Reports per-mote queries/s.
 func BenchmarkQueryThroughput(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -174,32 +175,30 @@ func BenchmarkQueryThroughput(b *testing.B) {
 			n.Start()
 			n.Run(48 * time.Hour)
 
-			ids := n.MoteIDs()
-			qs := make([]query.Query, 0, 4*len(ids))
-			for qi := 0; qi < 4; qi++ {
-				for _, id := range ids {
-					t0 := simtime.Time(2+qi*9) * simtime.Hour
-					qs = append(qs, query.Query{
-						Type: query.Past, Mote: id,
-						T0: t0, T1: t0 + 6*simtime.Hour, Precision: 0.2,
-					})
-				}
+			motes := len(n.MoteIDs())
+			specs := make([]query.Spec, 4)
+			for qi := range specs {
+				t0 := simtime.Time(2+qi*9) * simtime.Hour
+				specs[qi] = query.Spec{Type: query.Past, T0: t0, T1: t0 + 6*simtime.Hour, Precision: 0.2}
 			}
+			ctx := context.Background()
+			chans := make([]<-chan query.SetResult, len(specs))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				chans, err := n.SubmitBatch(qs)
-				if err != nil {
-					b.Fatal(err)
+				for qi, spec := range specs {
+					if chans[qi], err = n.SubmitSpec(ctx, spec); err != nil {
+						b.Fatal(err)
+					}
 				}
 				for _, ch := range chans {
-					if _, ok := <-ch; !ok {
-						b.Fatal("query never completed")
+					if res := <-ch; len(res.Results) != motes {
+						b.Fatalf("%d of %d queries completed", len(res.Results), motes)
 					}
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.N*len(qs))/b.Elapsed().Seconds(), "queries/s")
+			b.ReportMetric(float64(b.N*len(specs)*motes)/b.Elapsed().Seconds(), "queries/s")
 		})
 	}
 }
@@ -366,13 +365,17 @@ func BenchmarkFreshnessBounds(b *testing.B) {
 					remote = append(remote, id)
 				}
 			}
+			specs := make([]query.Spec, len(remote))
+			for i, id := range remote {
+				specs[i] = query.Spec{Type: query.Now, Select: query.SelectMotes(id), Precision: 2.0, MaxStaleness: bd.stale}
+			}
+			client, ctx := n.Client(), context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, id := range remote {
-					q := query.Query{Type: query.Now, Mote: id, Precision: 2.0, MaxStaleness: bd.stale}
-					if _, err := n.ExecuteWait(q); err != nil {
-						b.Fatal(err)
+				for _, spec := range specs {
+					if res, err := client.QueryOne(ctx, spec); err != nil || len(res.Results) != 1 {
+						b.Fatalf("query failed: %v (%+v)", err, res)
 					}
 				}
 			}

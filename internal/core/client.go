@@ -4,11 +4,13 @@ package core
 //
 // A query.Spec targets a *set* of motes; the engine fans it out as one
 // command per owning simulation domain (not one per mote), each domain
-// worker folds its motes' answers — served through the same
-// store/replica/proxy path single queries use — into a query.Partial,
-// and a merge stage combines the per-domain partials into one answer
-// with honest combined error bounds. An N-mote aggregate spanning any
-// number of domains therefore costs exactly one engine submission.
+// worker folds its motes' answers — served by the domain store's
+// replica/archive/proxy path — into a query.Partial, and a merge stage
+// combines the per-domain partials into one answer with honest combined
+// error bounds. An N-mote aggregate spanning any number of domains
+// therefore costs exactly one engine submission. The one exception to
+// the scatter is a one-shot NOW spec naming a single remote mote, which
+// the wired replica may answer first (submitReplicaFirst).
 //
 // Continuous specs re-arm on the simulation clock: a self-re-arming
 // wakeup event on the anchor domain's kernel scatters a round at each
@@ -29,23 +31,19 @@ import (
 	"presto/internal/simtime"
 )
 
-// specTargets resolves a spec's selector against the deployment and
-// groups the target motes by owning shard, preserving global mote order
-// within each group.
-func (n *Network) specTargets(spec query.Spec) (map[*shard][]radio.NodeID, error) {
-	targets := spec.Select.Resolve(n.MoteIDs())
+// specRuns resolves a spec's selector against the deployment and groups
+// the target motes by owning shard (see groupRuns). Only a selector
+// without an explicit list reads the fleet-wide mote list.
+func (n *Network) specRuns(spec query.Spec) ([]shardRun, error) {
+	var all []radio.NodeID
+	if len(spec.Select.Motes) == 0 {
+		all = n.MoteIDs()
+	}
+	targets := spec.Select.Resolve(all)
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("core: %w", query.ErrNoMotes)
 	}
-	groups := make(map[*shard][]radio.NodeID)
-	for _, m := range targets {
-		s, err := n.shardFor(m)
-		if err != nil {
-			return nil, err
-		}
-		groups[s] = append(groups[s], m)
-	}
-	return groups, nil
+	return n.groupRuns(targets)
 }
 
 // gatherSpec runs on a shard worker: it issues every target mote's query
@@ -270,19 +268,19 @@ type specRound struct {
 // and snapshots that domain at the exact round instant — and every other
 // owning domain gets one command. Domains that cannot accept work
 // (engine closed) contribute a failed partial immediately.
-func (n *Network) newSpecRound(spec query.Spec, groups map[*shard][]radio.NodeID, seq int, at simtime.Time, self *shard, tr *obs.Trace) *specRound {
+func (n *Network) newSpecRound(spec query.Spec, runs []shardRun, seq int, at simtime.Time, self *shard, tr *obs.Trace) *specRound {
 	n.queriesSubmitted.Add(1)
 	spec = spec.BindWindow(at)
-	rs := &specRound{seq: seq, at: at, spec: spec, parts: make(chan query.RoundPartial, len(groups)), expect: len(groups)}
-	for s, motes := range groups {
-		if s == self {
-			gatherSpec(s, spec, motes, rs.parts, tr)
+	rs := &specRound{seq: seq, at: at, spec: spec, parts: make(chan query.RoundPartial, len(runs)), expect: len(runs)}
+	for _, g := range runs {
+		if g.s == self {
+			gatherSpec(g.s, spec, g.motes, rs.parts, tr)
 			continue
 		}
-		s, motes := s, motes
-		if !s.enqueue(shardCmd{fn: func(sh *shard) { gatherSpec(sh, spec, motes, rs.parts, tr) }}) {
+		motes := g.motes
+		if !g.s.enqueue(shardCmd{fn: func(sh *shard) { gatherSpec(sh, spec, motes, rs.parts, tr) }}) {
 			rs.parts <- query.RoundPartial{
-				Domain: s.domain, Partial: query.NewPartialFor(spec), Failed: len(motes),
+				Domain: g.s.domain, Partial: query.NewPartialFor(spec), Failed: len(motes),
 			}
 		}
 	}
@@ -302,12 +300,12 @@ func mergeRound(rs *specRound) query.SetResult {
 	return query.MergeRounds(rs.spec, rs.seq, rs.at, parts)
 }
 
-// SubmitSpec posts a declarative set query to the engine. The returned
-// channel yields one SetResult for a one-shot spec, then closes; a
-// Continuous spec yields a result every spec period of virtual time
-// until ctx is cancelled (or the Until horizon passes), then closes.
-// Each round is a single engine submission regardless of how many motes
-// or domains it spans.
+// SubmitSpec posts a declarative set query to the engine — the one way
+// into a Network. The returned channel yields one SetResult for a
+// one-shot spec, then closes; a Continuous spec yields a result every
+// spec period of virtual time until ctx is cancelled (or the Until
+// horizon passes), then closes. Each round is a single engine
+// submission regardless of how many motes or domains it spans.
 //
 // Cancellation is prompt and leak-free: the driver goroutine exits on
 // ctx.Done even when no receiver drains the channel.
@@ -315,7 +313,12 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	groups, err := n.specTargets(spec)
+	// An explain/slow-query trace rides the context; nil otherwise.
+	tr := obs.TraceFrom(ctx)
+	if target := n.replicaTarget(spec); target != nil {
+		return n.submitReplicaFirst(spec, target, tr)
+	}
+	runs, err := n.specRuns(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -325,50 +328,18 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 	if n.shards[0].isClosed() {
 		return nil, ErrClosed
 	}
-	// An explain/slow-query trace rides the context; nil otherwise.
-	tr := obs.TraceFrom(ctx)
 	out := make(chan query.SetResult, 1)
 	if spec.Continuous == nil {
-		// A one-shot NOW spec naming a single mote is exactly a legacy
-		// Submit — route it there so it keeps the engine's wired-replica
-		// fast path (cross-domain NOW queries served from the replica
-		// mirror when it meets precision and freshness). Scatter rounds
-		// execute at the owning domains instead: a set snapshot wants
-		// the authoritative data, and its per-domain partials cannot
-		// depend on another domain's replica decision. A traced query
-		// skips the bypass: the scatter path is the one that annotates
-		// each routing decision, and one query through it costs little.
-		if tr == nil && spec.Type == query.Now && len(groups) == 1 {
-			for _, motes := range groups {
-				if len(motes) != 1 {
-					break
-				}
-				ch, err := n.Submit(spec.QueryFor(motes[0]))
-				if err != nil {
-					return nil, err
-				}
-				go func() {
-					defer close(out)
-					res := query.SetResult{At: n.Now()}
-					if r, ok := <-ch; ok {
-						res.Results = []query.Result{r}
-					} else {
-						res.Failed = 1
-					}
-					select {
-					case out <- res:
-					case <-ctx.Done():
-					}
-				}()
-				return out, nil
-			}
+		// The round binds to the submission instant (SetResult.At) and is
+		// queued on its domains before SubmitSpec returns, so specs
+		// submitted back to back reach each worker in submission order.
+		if tr != nil { // gate the Sprintf, not just the span: untraced rounds must not allocate
+			tr.Span("scatter", fmt.Sprintf("%d domains", len(runs)))
 		}
+		rs := n.newSpecRound(spec, runs, 0, n.Now(), nil, tr)
 		go func() {
 			defer close(out)
-			if tr != nil { // gate the Sprintf, not just the span: untraced rounds must not allocate
-				tr.Span("scatter", fmt.Sprintf("%d domains", len(groups)))
-			}
-			res := mergeRound(n.newSpecRound(spec, groups, 0, n.Now(), nil, tr))
+			res := mergeRound(rs)
 			if tr != nil {
 				tr.Span("merge", fmt.Sprintf("%d results, %d failed", len(res.Results), res.Failed))
 			}
@@ -391,7 +362,7 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 	// still (no Run in flight) means no new rounds — no new data can
 	// exist either.
 	cont := *spec.Continuous
-	anchor := n.anchorShard(groups)
+	anchor := n.anchorShard(runs)
 	maxRounds := 0
 	if cont.Until > 0 {
 		// The rounds whose instants fall at or before the Until horizon.
@@ -417,7 +388,7 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 			return // cancelled: stop re-arming; the merge side is gone
 		}
 		if len(rounds) < cap(rounds) {
-			rounds <- n.newSpecRound(spec, groups, started, s.sim.Now(), s, nil)
+			rounds <- n.newSpecRound(spec, runs, started, s.sim.Now(), s, nil)
 			started++
 		}
 		fired++
@@ -460,15 +431,134 @@ func (n *Network) SubmitSpec(ctx context.Context, spec query.Spec) (<-chan query
 
 // anchorShard picks the metronome domain for a continuous spec: the one
 // owning the lowest target mote id, so the choice is deterministic.
-func (n *Network) anchorShard(groups map[*shard][]radio.NodeID) *shard {
-	var anchor *shard
-	best := radio.NodeID(0)
-	for s, motes := range groups {
-		if anchor == nil || motes[0] < best {
-			anchor, best = s, motes[0]
+func (n *Network) anchorShard(runs []shardRun) *shard {
+	anchor, best := runs[0].s, runs[0].motes[0]
+	for _, g := range runs[1:] {
+		if g.motes[0] < best {
+			anchor, best = g.s, g.motes[0]
 		}
 	}
 	return anchor
+}
+
+// replicaTarget returns the owning shard of the one mote a spec targets
+// when the spec is eligible for the wired replica — a one-shot NOW
+// naming a single mote owned by a domain other than the replica's, in a
+// deployment that serves remote motes from the replica — and nil
+// otherwise. It reads the selector directly, before resolution, so the
+// common single-mote query copies no mote list and groups nothing.
+func (n *Network) replicaTarget(spec query.Spec) *shard {
+	sel := spec.Select
+	if !n.replicaFirst || spec.Type != query.Now || spec.Continuous != nil || len(sel.Motes) != 1 {
+		return nil
+	}
+	m := sel.Motes[0]
+	si, ok := n.moteShard[m]
+	if !ok || n.shards[si].domain == 0 || (sel.Where != nil && !sel.Where(m)) {
+		return nil
+	}
+	return n.shards[si]
+}
+
+// submitReplicaFirst is SubmitSpec's cross-domain NOW step: the query is
+// offered to the wired replica on shard 0 first, and only what the
+// replica cannot answer within precision is forwarded to the owning
+// shard. Scatter rounds never take this step — a set snapshot wants the
+// authoritative data, and its per-domain partials cannot depend on
+// another domain's replica decision. The SetResult is delivered by
+// whichever worker settles the query, with no goroutine of its own.
+//
+// A query carrying a freshness bound (MaxStaleness > 0) bypasses the
+// replica when its snapshot cannot meet it: the replica's newest
+// confirmed observation for the mote is compared against the owning
+// domain's clock (lock-free snapshot), and any undrained bridge traffic
+// for the replica's domain also marks it stale. Bypassed queries settle
+// in the owning domain, where the managing proxy enforces the bound end
+// to end — paying a mote rendezvous if its own snapshot is too old.
+//
+// A non-nil tr records the replica decision (replica-hit or
+// stale-bypass) and, for forwarded queries, the owning proxy's decision,
+// exactly as the scatter path annotates its routes.
+func (n *Network) submitReplicaFirst(spec query.Spec, target *shard, tr *obs.Trace) (<-chan query.SetResult, error) {
+	rq := &replicaQuery{
+		n: n, target: target, q: spec.QueryFor(spec.Select.Motes[0]), tr: tr,
+		res: query.SetResult{At: n.Now()},
+		out: make(chan query.SetResult, 1),
+	}
+	n.queriesSubmitted.Add(1)
+	if !n.shards[0].enqueue(shardCmd{fn: rq.decide}) {
+		return nil, ErrClosed
+	}
+	return rq.out, nil
+}
+
+// replicaQuery is one query in flight through submitReplicaFirst, held
+// in a single allocation: the decision, the forward and the delivery are
+// its methods.
+type replicaQuery struct {
+	n      *Network
+	target *shard
+	q      query.Query
+	tr     *obs.Trace
+	res    query.SetResult
+	one    [1]query.Result // backs res.Results
+	out    chan query.SetResult
+	pq     pendingQuery
+}
+
+// decide runs on the replica's worker (shard 0).
+func (rq *replicaQuery) decide(s *shard) {
+	n, q := rq.n, rq.q
+	// The owning domain's clock, read lock-free at check time (not at
+	// submission — the owner may advance while this query queues): the
+	// replica's mirrored data carries owning-domain timestamps, so this
+	// is the reference the staleness check needs.
+	ownerNow := rq.target.sim.NowSnapshot()
+	if q.MaxStaleness > 0 &&
+		(s.bridge.PendingFor(0, q.Mote) > 0 || !s.wired.FreshWithin(q.Mote, ownerNow, q.MaxStaleness)) {
+		n.replicaBypassed.Add(1)
+		rq.tr.Route(int64(q.Mote), s.domain, obs.RouteStaleBypass)
+		rq.forward()
+		return
+	}
+	if a, ok := s.wired.QueryLocal(q.Mote, s.sim.Now(), q.Precision); ok {
+		n.replicaServed.Add(1)
+		rq.tr.Route(int64(q.Mote), s.domain, obs.RouteReplicaHit)
+		rq.deliver(query.Result{Query: q, Answer: a}, true)
+		return
+	}
+	rq.forward()
+}
+
+// forward hands the query to the owning shard, whose store annotates the
+// managing proxy's decision onto the trace.
+func (rq *replicaQuery) forward() {
+	rq.pq.fn = rq.deliver
+	if !rq.target.enqueue(shardCmd{fn: rq.settle}) {
+		rq.deliver(query.Result{}, false) // owning shard shut down mid-forward
+	}
+}
+
+// settle runs on the owning shard's worker.
+func (rq *replicaQuery) settle(s *shard) {
+	if rq.tr != nil {
+		s.st.SetTrace(rq.tr, s.domain)
+		defer s.st.SetTrace(nil, 0)
+	}
+	s.submit(rq.q, &rq.pq)
+}
+
+// deliver sends the query's SetResult; it runs exactly once, on whichever
+// worker settled the query.
+func (rq *replicaQuery) deliver(r query.Result, ok bool) {
+	if ok {
+		rq.one[0] = r
+		rq.res.Results = rq.one[:]
+	} else {
+		rq.res.Failed = 1
+	}
+	rq.out <- rq.res
+	close(rq.out)
 }
 
 // ---------------------------------------------------------------------------
@@ -484,9 +574,8 @@ type SpecSubmitter interface {
 }
 
 // Client is the user-facing query interface over a deployment: pose a
-// declarative query.Spec, receive a ResultStream. It replaces the bare
-// single-mote callback/channel APIs (Execute, Submit, ExecuteWait),
-// which remain as deprecated shims.
+// declarative query.Spec, receive a ResultStream (or, for a one-shot
+// spec, its single SetResult via QueryOne).
 type Client struct {
 	e SpecSubmitter
 }
@@ -541,23 +630,22 @@ func (c *Client) Query(ctx context.Context, spec query.Spec) (*ResultStream, err
 	return &ResultStream{ch: ch, cancel: cancel}, nil
 }
 
-// QueryOne poses a one-shot spec and blocks for its single result — the
-// Spec-era ExecuteWait.
+// QueryOne poses a one-shot spec and blocks for its single result.
 func (c *Client) QueryOne(ctx context.Context, spec query.Spec) (query.SetResult, error) {
 	if spec.Continuous != nil {
 		return query.SetResult{}, errors.New("core: QueryOne on a continuous spec (use Query)")
 	}
-	st, err := c.Query(ctx, spec)
+	ch, err := c.e.SubmitSpec(ctx, spec)
 	if err != nil {
 		return query.SetResult{}, err
 	}
-	defer st.Close()
-	res, ok := st.Next(ctx)
-	if !ok {
-		if ctx.Err() != nil {
-			return query.SetResult{}, ctx.Err()
+	select {
+	case res, ok := <-ch:
+		if !ok {
+			return query.SetResult{}, errors.New("core: spec never completed")
 		}
-		return query.SetResult{}, errors.New("core: spec never completed")
+		return res, nil
+	case <-ctx.Done():
+		return query.SetResult{}, ctx.Err()
 	}
-	return res, nil
 }

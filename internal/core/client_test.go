@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"presto/internal/obs"
+	"presto/internal/proxy"
 	"presto/internal/query"
 	"presto/internal/radio"
 	"presto/internal/simtime"
@@ -168,8 +170,8 @@ func TestSpecSelectors(t *testing.T) {
 }
 
 // TestSingleMoteNowSpecRidesReplica: a one-shot NOW spec naming one
-// mote must keep the legacy Submit path's wired-replica fast path —
-// cross-domain NOW queries served from the replica mirror.
+// mote takes the engine's wired-replica fast path — cross-domain NOW
+// queries served from the replica mirror.
 func TestSingleMoteNowSpecRidesReplica(t *testing.T) {
 	n := buildSharded(t, 2, 2, 2, func(c *Config) { c.WiredFirstProxy = true })
 	if _, err := n.Bootstrap(36*time.Hour, 24, 1.0); err != nil {
@@ -192,6 +194,103 @@ func TestSingleMoteNowSpecRidesReplica(t *testing.T) {
 	}
 	if _, served, _, _ := n.EngineStats(); served == 0 {
 		t.Fatal("single-mote NOW spec bypassed the wired replica")
+	}
+}
+
+// TestTracedReplicaParity: tracing a one-mote NOW spec must not change
+// its route. On twin deployments, the traced query records the replica
+// decision (replica-hit, or stale-bypass under a tight freshness bound)
+// and returns the same answer, with the same replica counters, as the
+// untraced one. A bypassed query also records the owning proxy's
+// decision from the domain it was forwarded to.
+func TestTracedReplicaParity(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		stale time.Duration
+		want  obs.RouteKind
+	}{
+		{"replica-hit", 0, obs.RouteReplicaHit},
+		{"stale-bypass", time.Second, obs.RouteStaleBypass},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plain, traced := freshnessNet(t), freshnessNet(t)
+			remote := radio.NodeID(motesPerProxyFirstRemote(plain)) // a domain-1 mote
+			spec := query.Spec{Type: query.Now, Select: query.SelectMotes(remote), Precision: 5, MaxStaleness: tc.stale}
+
+			want, err := plain.Client().QueryOne(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := obs.NewTrace()
+			got, err := traced.Client().QueryOne(obs.WithTrace(context.Background(), tr), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Results) != 1 || len(got.Results) != 1 {
+				t.Fatalf("result shapes: untraced %+v, traced %+v", want, got)
+			}
+			wa, ga := want.Results[0].Answer, got.Results[0].Answer
+			if wa.Source != ga.Source {
+				t.Fatalf("traced answer from %v, untraced from %v", ga.Source, wa.Source)
+			}
+			wv, _ := wa.Value()
+			gv, _ := ga.Value()
+			if wv != gv {
+				t.Fatalf("traced value %v, untraced %v", gv, wv)
+			}
+			_, wServed, _, _ := plain.EngineStats()
+			_, gServed, _, _ := traced.EngineStats()
+			if wServed != gServed || plain.ReplicaBypassed() != traced.ReplicaBypassed() {
+				t.Fatalf("counters diverge: served %d vs %d, bypassed %d vs %d",
+					gServed, wServed, traced.ReplicaBypassed(), plain.ReplicaBypassed())
+			}
+
+			routes := tr.Routes()
+			if len(routes) == 0 || routes[0].Kind != tc.want || routes[0].Mote != int64(remote) {
+				t.Fatalf("routes %+v, want %v for mote %d first", routes, tc.want, remote)
+			}
+			if tc.want == obs.RouteStaleBypass {
+				if traced.ReplicaBypassed() != 1 {
+					t.Fatalf("bypassed %d, want 1", traced.ReplicaBypassed())
+				}
+				if len(routes) != 2 || routes[1].Domain != 1 || routes[1].Kind != obs.RouteRendezvous {
+					t.Fatalf("forwarded leg routes %+v, want the owning domain's rendezvous", routes)
+				}
+			} else if gServed != 1 || len(routes) != 1 {
+				t.Fatalf("served %d, routes %+v: want one replica hit", gServed, routes)
+			}
+		})
+	}
+}
+
+// TestSetResultAtIsSubmissionInstant: every one-shot SetResult reports
+// the clock its round was bound at — the instant of submission — even
+// when answering it steps the domain through a mote rendezvous, and
+// whether the spec names one mote or several.
+func TestSetResultAtIsSubmissionInstant(t *testing.T) {
+	for _, sel := range []query.Selector{query.SelectMotes(1), query.SelectMotes(1, 2)} {
+		// A fresh deployment per spec: a second pull on the same mote
+		// would be answered from the first one's cache.
+		n := buildSharded(t, 1, 2, 1, nil)
+		n.Start()
+		n.Run(2 * time.Hour)
+		before := n.Now()
+		res, err := n.Client().QueryOne(context.Background(), query.Spec{Type: query.Now, Select: sel, Precision: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Results) != len(sel.Motes) {
+			t.Fatalf("%v: %d results", sel.Motes, len(res.Results))
+		}
+		if src := res.Results[0].Answer.Source; src != proxy.FromPull {
+			t.Fatalf("%v: answered from %v, want a pull", sel.Motes, src)
+		}
+		if n.Now() <= before {
+			t.Fatalf("%v: the pull did not advance the clock", sel.Motes)
+		}
+		if res.At != before {
+			t.Fatalf("%v: At=%v, want the submission instant %v", sel.Motes, res.At, before)
+		}
 	}
 }
 

@@ -284,7 +284,7 @@ func (l Layout) AllMotes() []radio.NodeID {
 // Sim, Medium, Index and Store alias shard 0's domain for compatibility
 // and single-domain introspection; touching them (or Proxies/Motes
 // elements) directly is only safe while the engine is quiescent — no
-// Run, Submit or ExecuteWait concurrently in flight.
+// Run or SubmitSpec concurrently in flight.
 type Network struct {
 	cfg Config
 	lay Layout

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -24,6 +26,19 @@ func tempTraces(t *testing.T, n, days int, eventsPerDay float64) []*gen.Trace {
 		t.Fatal(err)
 	}
 	return traces
+}
+
+// queryMote poses a one-shot spec naming a single mote through the
+// Client and returns that mote's result.
+func queryMote(n *Network, spec query.Spec) (query.Result, error) {
+	res, err := n.Client().QueryOne(context.Background(), spec)
+	if err != nil {
+		return query.Result{}, err
+	}
+	if len(res.Results) != 1 {
+		return query.Result{}, errors.New("core: one-mote spec never completed")
+	}
+	return res.Results[0], nil
 }
 
 func buildSmall(t *testing.T, mutate func(*Config)) *Network {
@@ -139,7 +154,7 @@ func TestQueriesThroughStore(t *testing.T) {
 	// NOW query on every mote via the unified store: the user never names
 	// a proxy.
 	for _, id := range n.MoteIDs() {
-		res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: id, Precision: 1.0})
+		res, err := queryMote(n, query.Spec{Type: query.Now, Select: query.SelectMotes(id), Precision: 1.0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,21 +166,6 @@ func TestQueriesThroughStore(t *testing.T) {
 		if math.Abs(v-truth) > 1.1 {
 			t.Fatalf("mote %d: answer %v truth %v", id, v, truth)
 		}
-	}
-}
-
-func TestExecuteAsync(t *testing.T) {
-	n := buildSmall(t, nil)
-	n.Start()
-	n.Run(4 * time.Hour)
-	done := false
-	err := n.Execute(query.Query{Type: query.Past, Mote: 1, T0: simtime.Hour, T1: 2 * simtime.Hour, Precision: 0.05}, func(query.Result) { done = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Run(time.Minute)
-	if !done {
-		t.Fatal("async query never completed")
 	}
 }
 
@@ -274,7 +274,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			id := n.MoteIDs()[i%4]
-			_, _ = n.ExecuteWait(query.Query{Type: query.Now, Mote: id, Precision: 2})
+			_, _ = queryMote(n, query.Spec{Type: query.Now, Select: query.SelectMotes(id), Precision: 2})
 		}(i)
 	}
 	wg.Wait()

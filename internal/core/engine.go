@@ -10,13 +10,13 @@ package core
 // channels are the wired-replica bridge (radio.Bridge) and the engine's
 // command queues.
 //
-// Queries enter through Submit/SubmitBatch: the engine routes each query
-// to the shard owning its mote, the shard worker executes it against the
-// domain's unified store, and — when the query needs a mote rendezvous —
-// steps the domain's kernel until the answer resolves. Queries submitted
-// while a rendezvous is outstanding are picked up between steps, which is
-// what lets the proxy coalesce their pulls into the in-flight rendezvous.
-// ExecuteWait is a thin synchronous wrapper over Submit.
+// Queries enter through SubmitSpec (client.go): the engine routes each
+// target mote's query to the shard owning it, the shard worker executes
+// it against the domain's unified store, and — when the query needs a
+// mote rendezvous — steps the domain's kernel until the answer resolves.
+// Queries submitted while a rendezvous is outstanding are picked up
+// between steps, which is what lets the proxy coalesce their pulls into
+// the in-flight rendezvous.
 
 import (
 	"errors"
@@ -43,23 +43,11 @@ var ErrClosed = errors.New("core: network closed")
 // sample interval at the default 1-minute sampling).
 const bridgeDrainQuantum = 10 * time.Second
 
-// pendingQuery tracks one submitted query until its result is delivered.
-// Exactly one of ch/fn is set: the channel is buffered so an abandoned
-// Submit cannot wedge a worker; the callback form (scatter-gather
-// partials) runs on the worker with ok=false when the query can never
-// complete.
+// pendingQuery tracks one submitted query until its result is delivered:
+// fn runs on the worker exactly once, with the result, or with ok=false
+// when the query can never complete (wedged domain or shutdown).
 type pendingQuery struct {
-	ch chan query.Result
 	fn func(query.Result, bool)
-}
-
-// fail reports the query as never completed.
-func (pq *pendingQuery) fail() {
-	if pq.fn != nil {
-		pq.fn(query.Result{}, false)
-		return
-	}
-	close(pq.ch)
 }
 
 // shardCmd is one unit of work for a shard worker. fn runs on the
@@ -179,40 +167,27 @@ func (s *shard) settle() {
 	}
 }
 
-// failPending closes every outstanding result channel (receivers see a
-// closed channel and report the query as never completed) and fires
-// callback-style queries with ok=false.
+// failPending reports every outstanding query as never completed.
 func (s *shard) failPending() {
 	for pq := range s.pending {
-		pq.fail()
+		pq.fn(query.Result{}, false)
 	}
 	clear(s.pending)
 }
 
 // submit executes one query on the worker, registering it for settling.
+// Answers that need a mote rendezvous land while the worker settles (or
+// during the remaining chunks of an in-progress advance).
 func (s *shard) submit(q query.Query, pq *pendingQuery) {
 	s.pending[pq] = struct{}{}
 	err := s.st.Execute(q, func(r query.Result) {
 		delete(s.pending, pq)
-		if pq.fn != nil {
-			pq.fn(r, true)
-			return
-		}
-		pq.ch <- r
+		pq.fn(r, true)
 	})
 	if err != nil {
 		delete(s.pending, pq)
-		pq.fail()
+		pq.fn(query.Result{}, false)
 	}
-}
-
-// submitCB is submit for worker-side consumers: fn runs on the worker
-// exactly once — with the result, or with ok=false when the query can
-// never complete (wedged domain or shutdown). Scatter-gather partials
-// use it to fold per-mote answers into a domain-local aggregate without
-// a channel per mote.
-func (s *shard) submitCB(q query.Query, fn func(query.Result, bool)) {
-	s.submit(q, &pendingQuery{fn: fn})
 }
 
 // advance runs the domain forward by d. Multi-domain deployments chunk
@@ -316,152 +291,6 @@ func (n *Network) shardFor(m radio.NodeID) (*shard, error) {
 	return n.shards[si], nil
 }
 
-// Submit posts a query to the engine and returns a channel that yields
-// the result when it completes. The channel is closed without a value if
-// the query can never complete (wedged domain or engine shutdown). NOW
-// queries for motes in other domains are offered to the wired replica
-// first when one exists; everything the replica cannot answer within
-// precision is forwarded to the owning shard.
-//
-// A query carrying a freshness bound (MaxStaleness > 0) bypasses the
-// replica entirely when the replica's snapshot cannot meet it: the
-// replica's newest confirmed observation for the mote is compared against
-// the owning domain's clock (lock-free snapshot), and any undrained
-// bridge traffic for the replica's domain also marks it stale. Bypassed
-// queries settle in the owning domain, where the managing proxy enforces
-// the bound end-to-end — paying a mote rendezvous if its own snapshot is
-// too old. This replaces the fixed bridge-drain-quantum guarantee with a
-// per-query bound.
-//
-// PAST and AGG queries always settle in the owning domain, where the
-// bound is enforced when the window tail overlaps "now" (T1 plus the
-// bound reaches the domain clock): the domain store refuses to serve the
-// span from an archive staler than the bound (RoutingStats.ArchiveStale)
-// and the managing proxy pulls the span rather than extrapolate the tail
-// from a stale model snapshot (proxy.QueryRangeBounded). Purely
-// historical windows are unaffected.
-func (n *Network) Submit(q query.Query) (<-chan query.Result, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	target, err := n.shardFor(q.Mote)
-	if err != nil {
-		return nil, err
-	}
-	n.queriesSubmitted.Add(1)
-	pq := &pendingQuery{ch: make(chan query.Result, 1)}
-	if n.replicaFirst && target.domain != 0 && q.Type == query.Now {
-		s0 := n.shards[0]
-		forward := func() {
-			if !target.enqueue(shardCmd{fn: func(ts *shard) { ts.submit(q, pq) }}) {
-				close(pq.ch) // owning shard shut down mid-forward
-			}
-		}
-		ok := s0.enqueue(shardCmd{fn: func(s *shard) {
-			// The owning domain's clock, read lock-free at check time (not
-			// at Submit — the owner may advance while this query queues):
-			// the replica's mirrored data carries owning-domain timestamps,
-			// so this is the reference the staleness check needs.
-			ownerNow := target.sim.NowSnapshot()
-			if q.MaxStaleness > 0 &&
-				(s.bridge.PendingFor(0, q.Mote) > 0 || !s.wired.FreshWithin(q.Mote, ownerNow, q.MaxStaleness)) {
-				n.replicaBypassed.Add(1)
-				forward()
-				return
-			}
-			if a, ok := s.wired.QueryLocal(q.Mote, s.sim.Now(), q.Precision); ok {
-				n.replicaServed.Add(1)
-				pq.ch <- query.Result{Query: q, Answer: a}
-				return
-			}
-			forward()
-		}})
-		if !ok {
-			return nil, ErrClosed
-		}
-		return pq.ch, nil
-	}
-	if !target.enqueue(shardCmd{fn: func(s *shard) { s.submit(q, pq) }}) {
-		return nil, ErrClosed
-	}
-	return pq.ch, nil
-}
-
-// SubmitBatch posts a set of queries at once, grouped so that each shard
-// issues its queries back-to-back before settling — concurrent cold
-// queries on the same mote deterministically share one archive
-// rendezvous. Result channels are returned in input order.
-func (n *Network) SubmitBatch(qs []query.Query) ([]<-chan query.Result, error) {
-	type item struct {
-		q  query.Query
-		pq *pendingQuery
-	}
-	chans := make([]<-chan query.Result, len(qs))
-	groups := make(map[*shard][]item)
-	for i, q := range qs {
-		if err := q.Validate(); err != nil {
-			return nil, fmt.Errorf("core: query %d: %w", i, err)
-		}
-		target, err := n.shardFor(q.Mote)
-		if err != nil {
-			return nil, fmt.Errorf("core: query %d: %w", i, err)
-		}
-		pq := &pendingQuery{ch: make(chan query.Result, 1)}
-		chans[i] = pq.ch
-		groups[target] = append(groups[target], item{q: q, pq: pq})
-	}
-	n.queriesSubmitted.Add(uint64(len(qs)))
-	for target, items := range groups {
-		items := items
-		if !target.enqueue(shardCmd{fn: func(s *shard) {
-			for _, it := range items {
-				s.submit(it.q, it.pq)
-			}
-		}}) {
-			return nil, ErrClosed
-		}
-	}
-	return chans, nil
-}
-
-// ExecuteWait posts a query and blocks until it completes — the
-// synchronous convenience wrapper over Submit that legacy examples and
-// experiments use.
-//
-// Deprecated: pose a query.Spec through Client.QueryOne instead; a Spec
-// targeting one mote behaves identically and the same facade scales to
-// mote sets and continuous queries.
-func (n *Network) ExecuteWait(q query.Query) (query.Result, error) {
-	ch, err := n.Submit(q)
-	if err != nil {
-		return query.Result{}, err
-	}
-	r, ok := <-ch
-	if !ok {
-		return query.Result{}, errors.New("core: query never completed (no pending events)")
-	}
-	return r, nil
-}
-
-// Execute posts a query against the unified store without settling: the
-// callback fires on the owning shard's worker, possibly during a later
-// Run if the query needs a mote round trip.
-//
-// Deprecated: the bare callback API predates the engine; use
-// Client.Query with a query.Spec (or Submit when channel semantics are
-// needed).
-func (n *Network) Execute(q query.Query, cb func(query.Result)) error {
-	target, err := n.shardFor(q.Mote)
-	if err != nil {
-		return err
-	}
-	var execErr error
-	if !target.call(func(s *shard) { execErr = s.st.Execute(q, cb) }) {
-		return ErrClosed
-	}
-	return execErr
-}
-
 // Run advances every shard's virtual time by d, concurrently.
 func (n *Network) Run(d time.Duration) {
 	n.eachShard(func(s *shard) { s.advance(d) })
@@ -504,7 +333,8 @@ func (n *Network) Now() simtime.Time {
 }
 
 // Close shuts down the shard workers. Outstanding queries fail (their
-// result channels close); subsequent engine calls return ErrClosed. Safe
+// motes count in SetResult.Failed); subsequent engine calls return
+// ErrClosed. Safe
 // to call multiple times; networks abandoned without Close are reaped by
 // a finalizer.
 func (n *Network) Close() {

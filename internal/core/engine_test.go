@@ -4,6 +4,8 @@ package core
 // submission across shards, the wired-replica bridge, and lifecycle.
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"presto/internal/proxy"
 	"presto/internal/query"
+	"presto/internal/radio"
 	"presto/internal/simtime"
 )
 
@@ -36,33 +39,74 @@ func buildSharded(t *testing.T, proxies, motesPer, shards int, mutate func(*Conf
 	return n
 }
 
-func TestSubmitBatchCoalescesColdPulls(t *testing.T) {
-	// N concurrent tight-precision queries on one cold mote must pay
-	// exactly one archive rendezvous whose response fans out to all.
+// holdShard parks the worker owning mote m on a blocking command and
+// returns its release. Commands queued while the worker is held run back
+// to back on release, before the worker first steps its kernel — which
+// makes pull coalescing across separately submitted specs deterministic.
+func holdShard(t *testing.T, n *Network, m radio.NodeID) (release func()) {
+	t.Helper()
+	s, err := n.shardFor(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, gate := make(chan struct{}), make(chan struct{})
+	if !s.enqueue(shardCmd{fn: func(*shard) { close(held); <-gate }}) {
+		t.Fatal("shard closed")
+	}
+	<-held
+	return func() { close(gate) }
+}
+
+// submitHeld submits one-shot specs while the owning worker of mote m is
+// held, then releases it and collects every spec's single SetResult in
+// submission order.
+func submitHeld(t *testing.T, n *Network, m radio.NodeID, specs []query.Spec) []query.SetResult {
+	t.Helper()
+	release := holdShard(t, n, m)
+	chans := make([]<-chan query.SetResult, len(specs))
+	for i, spec := range specs {
+		ch, err := n.SubmitSpec(context.Background(), spec)
+		if err != nil {
+			release()
+			t.Fatal(err)
+		}
+		chans[i] = ch
+	}
+	release()
+	out := make([]query.SetResult, len(specs))
+	for i, ch := range chans {
+		res, ok := <-ch
+		if !ok {
+			t.Fatalf("spec %d never delivered", i)
+		}
+		out[i] = res
+	}
+	return out
+}
+
+func TestSpecsCoalesceColdPulls(t *testing.T) {
+	// N concurrent tight-precision one-mote specs on one cold mote must
+	// pay exactly one archive rendezvous whose response fans out to all.
 	n := buildSharded(t, 1, 1, 1, nil)
 	n.Start()
 	n.Run(4 * time.Hour)
 
 	const N = 8
 	at := 2 * simtime.Hour
-	qs := make([]query.Query, N)
-	for i := range qs {
-		qs[i] = query.Query{Type: query.Past, Mote: 1, T0: at, T1: at, Precision: 0.01}
+	specs := make([]query.Spec, N)
+	for i := range specs {
+		specs[i] = query.Spec{Type: query.Past, Select: query.SelectMotes(1), T0: at, T1: at, Precision: 0.01}
 	}
-	chans, err := n.SubmitBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ch := range chans {
-		res, ok := <-ch
-		if !ok {
-			t.Fatalf("query %d never completed", i)
+	for i, set := range submitHeld(t, n, 1, specs) {
+		if len(set.Results) != 1 {
+			t.Fatalf("spec %d never completed (%d failed)", i, set.Failed)
 		}
+		res := set.Results[0]
 		if res.Answer.Source != proxy.FromPull {
-			t.Fatalf("query %d source %v, want pull", i, res.Answer.Source)
+			t.Fatalf("spec %d source %v, want pull", i, res.Answer.Source)
 		}
 		if _, ok := res.Answer.Value(); !ok {
-			t.Fatalf("query %d: no value", i)
+			t.Fatalf("spec %d: no value", i)
 		}
 	}
 
@@ -71,7 +115,7 @@ func TestSubmitBatchCoalescesColdPulls(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ms.PullsServed != 1 {
-		t.Fatalf("mote served %d pulls for %d concurrent cold queries, want exactly 1", ms.PullsServed, N)
+		t.Fatalf("mote served %d pulls for %d concurrent cold specs, want exactly 1", ms.PullsServed, N)
 	}
 	ps, err := n.ProxyStatsFor(1)
 	if err != nil {
@@ -89,18 +133,13 @@ func TestQueuedPullsMergeIntoOneFollowUp(t *testing.T) {
 	n := buildSharded(t, 1, 1, 1, nil)
 	n.Start()
 	n.Run(6 * time.Hour)
-	qs := []query.Query{
-		{Type: query.Past, Mote: 1, T0: simtime.Hour, T1: simtime.Hour, Precision: 0.01},
-		{Type: query.Past, Mote: 1, T0: 3 * simtime.Hour, T1: 3 * simtime.Hour, Precision: 0.01},
-		{Type: query.Past, Mote: 1, T0: 4 * simtime.Hour, T1: 4 * simtime.Hour, Precision: 0.01},
+	var specs []query.Spec
+	for _, h := range []simtime.Time{1, 3, 4} {
+		specs = append(specs, query.Spec{Type: query.Past, Select: query.SelectMotes(1), T0: h * simtime.Hour, T1: h * simtime.Hour, Precision: 0.01})
 	}
-	chans, err := n.SubmitBatch(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ch := range chans {
-		if _, ok := <-ch; !ok {
-			t.Fatalf("query %d never completed", i)
+	for i, set := range submitHeld(t, n, 1, specs) {
+		if len(set.Results) != 1 {
+			t.Fatalf("spec %d never completed", i)
 		}
 	}
 	ms, _ := n.MoteStats(1)
@@ -115,46 +154,54 @@ func TestQueuedPullsMergeIntoOneFollowUp(t *testing.T) {
 
 func TestSubmitHammerAcrossShards(t *testing.T) {
 	// The -race workhorse: many goroutines submit against every shard
-	// while Run advances time concurrently.
-	n := buildSharded(t, 4, 2, 4, nil)
-	if n.Shards() != 4 {
-		t.Fatalf("shards=%d", n.Shards())
-	}
-	n.Start()
-	n.Run(2 * time.Hour)
-
-	ids := n.MoteIDs()
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				id := ids[(g*7+i)%len(ids)]
-				res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: id, Precision: 2})
-				if err != nil {
-					t.Errorf("mote %d: %v", id, err)
-					return
-				}
-				if _, ok := res.Answer.Value(); !ok {
-					t.Errorf("mote %d: empty answer", id)
-					return
-				}
+	// while Run advances time concurrently — with and without the wired
+	// replica answering remote motes' NOW specs first.
+	for _, wired := range []bool{false, true} {
+		t.Run(fmt.Sprintf("wired=%v", wired), func(t *testing.T) {
+			n := buildSharded(t, 4, 2, 4, func(c *Config) { c.WiredFirstProxy = wired })
+			if n.Shards() != 4 {
+				t.Fatalf("shards=%d", n.Shards())
 			}
-		}(g)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 4; i++ {
-			n.Run(10 * time.Minute)
-		}
-	}()
-	wg.Wait()
+			n.Start()
+			n.Run(2 * time.Hour)
 
-	submitted, _, _, _ := n.EngineStats()
-	if submitted != 160 {
-		t.Fatalf("submitted=%d, want 160", submitted)
+			ids := n.MoteIDs()
+			var wg sync.WaitGroup
+			for g := 0; g < 16; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 10; i++ {
+						id := ids[(g*7+i)%len(ids)]
+						res, err := queryMote(n, query.Spec{Type: query.Now, Select: query.SelectMotes(id), Precision: 2})
+						if err != nil {
+							t.Errorf("mote %d: %v", id, err)
+							return
+						}
+						if _, ok := res.Answer.Value(); !ok {
+							t.Errorf("mote %d: empty answer", id)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 4; i++ {
+					n.Run(10 * time.Minute)
+				}
+			}()
+			wg.Wait()
+
+			submitted, served, _, _ := n.EngineStats()
+			if submitted != 160 {
+				t.Fatalf("submitted=%d, want 160", submitted)
+			}
+			if wired && served == 0 {
+				t.Fatal("no remote NOW spec was served by the wired replica")
+			}
+		})
 	}
 }
 
@@ -188,7 +235,7 @@ func TestWiredReplicaBridgeAcrossShards(t *testing.T) {
 
 	// Mote 3 lives in shard 1; its NOW queries should be answerable by
 	// the replica in shard 0 without touching shard 1.
-	res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: 3, Precision: 1.0})
+	res, err := queryMote(n, query.Spec{Type: query.Now, Select: query.SelectMotes(3), Precision: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +266,7 @@ func TestWiredReplicaServesDataSingleDomain(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Run(2 * time.Hour)
-	res, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: 3, Precision: 1.0})
+	res, err := queryMote(n, query.Spec{Type: query.Now, Select: query.SelectMotes(3), Precision: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,38 +290,41 @@ func TestCloseRejectsFurtherWork(t *testing.T) {
 	n.Run(time.Hour)
 	n.Close()
 	n.Close() // idempotent
-	if _, err := n.Submit(query.Query{Type: query.Now, Mote: 1, Precision: 1}); err != ErrClosed {
-		t.Fatalf("Submit after Close: %v", err)
+	spec := query.Spec{Type: query.Now, Select: query.SelectMotes(1), Precision: 1}
+	if _, err := n.SubmitSpec(context.Background(), spec); err != ErrClosed {
+		t.Fatalf("SubmitSpec after Close: %v", err)
 	}
-	if _, err := n.ExecuteWait(query.Query{Type: query.Now, Mote: 1, Precision: 1}); err == nil {
-		t.Fatal("ExecuteWait after Close succeeded")
+	if _, err := queryMote(n, spec); err == nil {
+		t.Fatal("QueryOne after Close succeeded")
 	}
 }
 
 func TestSubmitAsyncResult(t *testing.T) {
-	// Submit returns immediately; the result arrives on the channel.
+	// SubmitSpec returns immediately; the result arrives on the channel.
 	n := buildSharded(t, 1, 2, 1, nil)
 	n.Start()
 	n.Run(3 * time.Hour)
-	ch, err := n.Submit(query.Query{Type: query.Past, Mote: 1, T0: simtime.Hour, T1: simtime.Hour, Precision: 0.01})
+	ch, err := n.SubmitSpec(context.Background(), query.Spec{
+		Type: query.Past, Select: query.SelectMotes(1), T0: simtime.Hour, T1: simtime.Hour, Precision: 0.01,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ok := <-ch
-	if !ok {
+	set, ok := <-ch
+	if !ok || len(set.Results) != 1 {
 		t.Fatal("query never completed")
 	}
-	if res.Answer.Source != proxy.FromPull {
+	if res := set.Results[0]; res.Answer.Source != proxy.FromPull {
 		t.Fatalf("source %v", res.Answer.Source)
 	}
 }
 
 func TestSubmitUnknownMote(t *testing.T) {
 	n := buildSharded(t, 1, 1, 1, nil)
-	if _, err := n.Submit(query.Query{Type: query.Now, Mote: 99}); err == nil {
+	if _, err := n.SubmitSpec(context.Background(), query.Spec{Type: query.Now, Select: query.SelectMotes(99)}); err == nil {
 		t.Fatal("unknown mote accepted")
 	}
-	if _, err := n.SubmitBatch([]query.Query{{Type: query.Now, Mote: 99}}); err == nil {
-		t.Fatal("unknown mote accepted in batch")
+	if _, err := n.SubmitSpec(context.Background(), query.Spec{Type: query.Now, Select: query.SelectMotes(1, 99)}); err == nil {
+		t.Fatal("unknown mote accepted in a mote set")
 	}
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"presto/internal/flash"
 	"presto/internal/gen"
 	"presto/internal/proxy"
+	"presto/internal/query"
 	"presto/internal/radio"
 	"presto/internal/simtime"
 )
@@ -94,6 +96,19 @@ func buildNet(sc Scale, motes int, preset *baseline.Preset, traces []*gen.Trace,
 	cfg.StoreBackend = sc.Backend
 	cfg.StoreAging = sc.Aging
 	return core.Build(cfg)
+}
+
+// queryMote poses a one-shot spec naming a single mote through the
+// deployment's Client and returns that mote's result.
+func queryMote(n *core.Network, spec query.Spec) (query.Result, error) {
+	res, err := n.Client().QueryOne(context.Background(), spec)
+	if err != nil {
+		return query.Result{}, err
+	}
+	if len(res.Results) != 1 {
+		return query.Result{}, fmt.Errorf("exp: one-mote spec never completed (%d failed)", res.Failed)
+	}
+	return res.Results[0], nil
 }
 
 // runEnergyPerDay runs a single-mote deployment for the scale's duration

@@ -11,7 +11,7 @@ import (
 )
 
 // E14ScatterGather prices the declarative set-query path against the
-// legacy per-mote loop it replaces: "the mode of vibration across the
+// per-mote loop it replaces: "the mode of vibration across the
 // building" posed as one query.Spec costs a single engine submission —
 // each owning domain computes a partial aggregate and a merge stage
 // combines them — where the loop pays one submission (and one
@@ -62,11 +62,12 @@ func scatterGatherRows(sc Scale, shards int) ([][]string, error) {
 	t0, t1 := now-3*simtime.Hour, now-simtime.Hour
 	ids := n.MoteIDs()
 
-	// Legacy loop: one engine submission per mote, flat-merged by hand.
+	// Per-mote loop: one engine submission per mote fetching the window's
+	// entries, flat-merged by hand.
 	before, _, _, _ := n.EngineStats()
 	flat := query.NewPartial(0.5)
 	for _, id := range ids {
-		res, err := n.ExecuteWait(query.Query{Type: query.Agg, Mote: id, T0: t0, T1: t1, Precision: 0.5, Agg: query.Mean})
+		res, err := queryMote(n, query.Spec{Type: query.Past, Select: query.SelectMotes(id), T0: t0, T1: t1, Precision: 0.5})
 		if err != nil {
 			return nil, err
 		}

@@ -401,8 +401,12 @@ type SetResult struct {
 	// Seq numbers continuous deliveries from 0; one-shot specs deliver a
 	// single result with Seq 0.
 	Seq int
-	// At is the engine clock when the round was merged (the
-	// least-advanced domain clock, as Network.Now reports).
+	// At is the instant the round was bound at — the clock a trailing
+	// window resolves against (BindWindow): the engine clock at
+	// submission for a one-shot spec (the least-advanced domain clock,
+	// as Network.Now reports; the coordinator's clock in a cluster), the
+	// firing instant for each round of a continuous spec. Answering the
+	// round may advance the clock further; At does not follow it.
 	At simtime.Time
 	// Results holds the per-mote results of a Now/Past spec, in
 	// ascending mote-id order regardless of selector order (match on

@@ -162,7 +162,8 @@ func (s *Store) replica(pid index.ProxyID) (*proxy.Proxy, bool) {
 	return rp, ok
 }
 
-// Execute routes and runs a query; cb fires exactly once.
+// Execute routes and runs one mote's query — the engine's only per-mote
+// executor; cb fires exactly once.
 //
 // NOW queries are offered to the managing proxy's wired replica first
 // (Section 5's low-latency replication) — unless the query carries a
@@ -203,14 +204,7 @@ func (s *Store) Execute(q query.Query, cb func(query.Result)) error {
 		if a, ok := s.archiveAnswer(q, pid); ok {
 			s.rstats.ArchiveServed++
 			s.tr.Route(int64(q.Mote), s.trDomain, obs.RouteArchiveHit)
-			res := query.Result{Query: q, Answer: a}
-			if q.Type == query.Agg {
-				res.AggValue = query.Aggregate(q.Agg, a)
-				if len(a.Entries) == 0 {
-					res.Err = query.ErrEmptyAggregate
-				}
-			}
-			cb(res)
+			cb(resultFor(q, a))
 			return nil
 		}
 	}
@@ -229,7 +223,45 @@ func (s *Store) Execute(q query.Query, cb func(query.Result)) error {
 			inner(r)
 		}
 	}
-	return query.Execute(p, q, cb)
+	executeProxy(p, q, cb)
+	return nil
+}
+
+// executeProxy runs a validated query on its managing proxy, which
+// answers from cache or model or pays a mote rendezvous; cb fires
+// exactly once, possibly after the rendezvous resolves.
+func executeProxy(p *proxy.Proxy, q query.Query, cb func(query.Result)) {
+	switch q.Type {
+	case query.Now:
+		if q.MaxStaleness > 0 {
+			p.QueryNowBounded(q.Mote, q.Precision, q.MaxStaleness, func(a proxy.Answer) {
+				cb(query.Result{Query: q, Answer: a})
+			})
+			return
+		}
+		p.QueryNow(q.Mote, q.Precision, func(a proxy.Answer) {
+			cb(query.Result{Query: q, Answer: a})
+		})
+	case query.Past, query.Agg:
+		// QueryRangeBounded without a bound is exactly QueryRange; the
+		// bound only bites when the window tail overlaps "now".
+		p.QueryRangeBounded(q.Mote, q.T0, q.T1, q.Precision, q.MaxStaleness, func(a proxy.Answer) {
+			cb(resultFor(q, a))
+		})
+	}
+}
+
+// resultFor wraps a per-mote answer in its Result, computing the
+// aggregate for AGG queries and flagging an empty window.
+func resultFor(q query.Query, a proxy.Answer) query.Result {
+	r := query.Result{Query: q, Answer: a}
+	if q.Type == query.Agg {
+		r.AggValue = query.Aggregate(q.Agg, a)
+		if len(a.Entries) == 0 {
+			r.Err = query.ErrEmptyAggregate
+		}
+	}
+	return r
 }
 
 // archiveRecords runs the archive-serving gates for a range query and,
