@@ -1,95 +1,90 @@
-// Command prestod runs an interactive-ish PRESTO deployment simulation:
-// it builds a multi-proxy, multi-mote network over synthetic temperature
-// data, bootstraps the prediction models, advances virtual time while
-// issuing a configurable query mix, and reports energy, cache behaviour,
-// and query latency at the end.
+// Command prestod runs a PRESTO deployment simulation: a multi-proxy,
+// multi-mote network over synthetic temperature data (or a scenario
+// spec), either in one process or as the coordinator of a multi-process
+// cluster, driven through one schedule and reported the same way.
 //
 // Usage:
 //
 //	prestod [-proxies N] [-motes N] [-shards N] [-days N] [-delta F]
 //	        [-queries N] [-precision F] [-loss F] [-seed N] [-v]
-//	        [-store mem|flash] [-aging wavelet[:tiers]|uniform]
-//	        [-max-staleness D] [-every D] [-http addr [-http-qps F]]
-//	        [-pprof] [-slow-query D] [-runtime-trace file]
-//	        [-listen addr -sites N [-wired] | -join addr [-wired]]
+//	        [-store mem|flash] [-aging wavelet[:tiers]|uniform] [-wired]
+//	        [-max-staleness D] [-every D] [-runtime-trace file]
+//	        [-http addr [-http-qps F] [-http-pace D] [-pprof] [-slow-query D]]
+//	        [-listen addr [-sites N] [-quantum D] [-checkpoint dir] | -join addr]
 //	        [-scenario file.json|preset]
 //
-// With -scenario the deployment comes from a scenario spec (a JSON file
-// written by presto-scenario, or a built-in preset name) instead of the
-// individual flags: the heterogeneous sensor mix, per-mote traces with
-// regional events, radio loss, store backend and day count are all
-// generated bit-reproducibly from the spec's seed. Cluster processes
-// booted from the same spec fingerprint-match automatically, and -sites
-// defaults to the spec's site count.
+// The deployment mode is chosen once, at start: a single process builds
+// the whole network in-process; -listen makes this process a cluster
+// coordinator that hosts the first window of simulation domains and
+// waits for -sites-1 joiners over TCP (internal/cluster). Everything
+// after that is the same code, driven through one deployment seam:
 //
-// With -http the process becomes a serving tier instead of running the
-// built-in query mix: after bootstrap it mounts the internal/serve
-// HTTP/JSON API (POST /v1/query, /healthz, /statsz) on the address,
-// advances the virtual clock to the -days horizon in the background,
-// then keeps serving with the clock frozen until SIGINT/SIGTERM.
-// Shutdown is graceful in every mode: streams end with an SSE shutdown
-// event, in-flight queries drain, cluster sites are stopped — no
-// kill -9 required. -http works in cluster mode too (give it to the
-// coordinator; sites need only -join).
+//  1. Bootstrap: stream for min(36h, days/2) of virtual time, then train
+//     and ship the seasonal-anchored models.
+//  2. Run half of the remaining time quietly.
+//  3. Pose a trailing 2h mean AGG over every mote and print it at full
+//     float64 precision ("cluster agg: mean=..."). The same flags give
+//     the same line, bit for bit, in either mode.
+//  4. With -checkpoint (coordinator only), write a cluster-wide domain
+//     checkpoint to the directory.
+//  5. Over the back half, issue -queries one-mote NOW/PAST queries (30%
+//     PAST) with targets drawn from a source seeded by -seed, checking
+//     each answer against ground truth; with -every, a standing all-motes
+//     NOW query delivers one fleet snapshot per that much virtual time.
+//  6. Report energy, latency, answer provenance and store counters for
+//     the motes this process hosts; a coordinator adds per-site frame
+//     counters and cluster health.
 //
-// Observability: the HTTP tier always serves Prometheus-text metrics at
-// GET /metricsz, and POST /v1/query?explain=1 returns the per-query
-// trace (spans plus every per-mote routing decision) alongside the
-// result. -slow-query additionally logs any query slower than the
-// given wall time with its trace; -pprof mounts net/http/pprof under
-// /debug/pprof/ on the same address; -runtime-trace captures a Go
-// execution trace of the whole run to a file (any mode, not just
-// -http).
+// prestod exits 1 if an answer misses the precision promise, the
+// aggregate loses a site, or the standing query delivers nothing.
 //
-// With -shards > 1 the deployment is partitioned into that many
-// concurrent simulation domains (one worker per domain) and queries run
-// through the async engine, with NOW queries served by the wired replica
-// where possible.
-//
-// -store selects each domain's archival store backend: "mem" (in-memory)
-// or "flash" (log-structured archive on simulated NAND; PAST queries the
-// archive covers within precision never touch the proxy query path).
-// -aging selects how flash compaction ages old segments: "wavelet"
-// (age-tiered multi-resolution summaries — every timestamp survives,
-// value detail decays per the tier schedule, e.g. wavelet:1/2,1/4,1/8) or
-// "uniform" (legacy widened-mean coarsening).
-// -max-staleness, when positive, attaches a per-query freshness bound:
-// NOW queries bypass replicas whose snapshot lags the owning domain by
-// more than the bound, a managing proxy whose own snapshot is too old
-// pays a mote rendezvous instead of answering from the model, and PAST
-// queries whose window tail overlaps "now" refuse stale archive/model
-// snapshots the same way.
-// -every, when positive, additionally runs a standing query — a
-// continuous all-motes NOW spec through the core.Client facade — that
-// delivers one fleet snapshot per that much virtual time for the whole
-// post-bootstrap run; each snapshot costs a single engine submission.
-//
-// Cluster mode runs ONE deployment across several OS processes
-// (internal/cluster). -listen starts the coordinator: it hosts the first
-// window of simulation domains, waits for -sites-1 joiners over TCP,
-// bootstraps, advances the cluster on virtual-time leases, poses a
-// trailing multi-site AGG (one scatter frame per site, partial
-// aggregates merged with honest bounds — printed with full float64
-// precision so runs can be diffed against a single-process run of the
-// same seed), and with -every also drives a standing fleet snapshot
-// query. -join starts a site: it must be launched with the SAME
+// -join starts a cluster site: it must be launched with the SAME
 // deployment flags (enforced by a config fingerprint at join time),
 // receives its domain window from the coordinator, and serves until the
-// coordinator closes the session. -wired enables the wired replica in
-// cluster mode: remote sites' confirmed data rides the transport to
-// proxy 0 at the coordinator (replication timing is wall-clock
-// dependent, so leave it off when diffing against single-process runs).
+// coordinator closes the session. It takes no driver flags.
+//
+// With -http the process becomes a serving tier instead of running
+// steps 2-6: after bootstrap it mounts the internal/serve HTTP/JSON API
+// (POST /v1/query, /healthz, /statsz, /metricsz; ?explain=1 returns the
+// per-query trace) on the address, advances the virtual clock to the
+// -days horizon in the background (-http-pace paces it against the wall
+// clock), then keeps serving with the clock frozen until SIGINT/SIGTERM.
+// -slow-query logs queries slower than the given wall time with their
+// trace; -pprof mounts net/http/pprof under /debug/pprof/.
+//
+// Shutdown is graceful in every mode: a signal stops the schedule and
+// reports early, SSE streams end with a shutdown event, in-flight
+// queries drain, and cluster sites are stopped.
+//
+// Deployment flags: -shards > 1 partitions the network into that many
+// concurrent simulation domains. -wired mirrors every domain's
+// confirmed data onto proxy 0 (the wired replica) and offers remote
+// motes' NOW queries to it first; it is off by default in both modes,
+// because replication timing is wall-clock dependent. -store selects
+// each domain's archive backend, "mem" or "flash" (a log-structured
+// archive on simulated NAND), and -aging how flash compaction ages old
+// segments: "wavelet" (age-tiered multi-resolution summaries, e.g.
+// wavelet:1/2,1/4,1/8) or "uniform" (widened-mean coarsening).
+// -max-staleness attaches a per-query freshness bound to the query mix
+// and the standing query. -scenario boots a scenario spec (a JSON file
+// from presto-scenario, or a built-in preset) instead of the individual
+// deployment flags; cluster processes booted from the same spec
+// fingerprint-match, and -sites defaults to the spec's site count.
+//
+// Flags the chosen mode would silently ignore are a usage error: see
+// flagRules.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"math"
+	"math/rand"
 	"net"
 	"net/http"
-	"net/http/pprof"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
 	"os/signal"
 	rtrace "runtime/trace"
@@ -109,42 +104,144 @@ import (
 	"presto/internal/wire"
 )
 
+// deployment is the one seam prestod drives: an in-process network
+// (single) or a cluster coordinator. Network is the part of the
+// deployment this process hosts.
+type deployment interface {
+	serve.Engine
+	Client() *core.Client
+	Bootstrap(ctx context.Context, trainFor time.Duration, bins int, delta float64) error
+	Run(ctx context.Context, d time.Duration) error
+	Network() *core.Network
+	Close()
+}
+
+// network names core.Network so single can embed it without its field
+// colliding with the Network method.
+type network = core.Network
+
+// single adapts an in-process network to the deployment seam.
+type single struct{ *network }
+
+func (s single) Bootstrap(_ context.Context, trainFor time.Duration, bins int, delta float64) error {
+	_, err := s.network.Bootstrap(trainFor, bins, delta)
+	return err
+}
+
+// Run advances the network by d; a signal takes effect once d has run.
+func (s single) Run(ctx context.Context, d time.Duration) error {
+	s.network.Run(d)
+	return ctx.Err()
+}
+
+func (s single) Network() *core.Network { return s.network }
+
+// options holds every command-line flag.
+type options struct {
+	proxies, motes, shards, days, queries, sites int
+	delta, precision, loss, httpQPS              float64
+	seed                                         int64
+	store, aging, listen, join, ckptDir          string
+	scenario, http, rtTrace                      string
+	maxStale, every, quantum, httpPace, slowQ    time.Duration
+	wired, pprof, verbose                        bool
+}
+
+func (o *options) register(fs *flag.FlagSet) {
+	fs.IntVar(&o.proxies, "proxies", 2, "number of proxies")
+	fs.IntVar(&o.motes, "motes", 10, "motes per proxy")
+	fs.IntVar(&o.shards, "shards", 1, "concurrent simulation domains (clamped to proxies)")
+	fs.IntVar(&o.days, "days", 7, "days of virtual time to run")
+	fs.Float64Var(&o.delta, "delta", 1.0, "model-driven push threshold")
+	fs.IntVar(&o.queries, "queries", 200, "NOW/PAST queries to issue over the back half of the run")
+	fs.Float64Var(&o.precision, "precision", 1.0, "query precision (error tolerance)")
+	fs.Float64Var(&o.loss, "loss", 0.02, "radio loss probability")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.StringVar(&o.store, "store", "mem", "archival store backend per domain: mem or flash")
+	fs.StringVar(&o.aging, "aging", "wavelet", "flash compaction aging policy: wavelet[:tiers] or uniform")
+	fs.DurationVar(&o.maxStale, "max-staleness", 0, "per-query freshness bound for the query mix and standing query (0 = unbounded); PAST windows whose tail overlaps now honor it too")
+	fs.DurationVar(&o.every, "every", 0, "standing query period of virtual time (0 = no continuous query)")
+	fs.StringVar(&o.listen, "listen", "", "cluster coordinator: TCP listen address (host:port; :0 picks a port)")
+	fs.StringVar(&o.join, "join", "", "cluster site: coordinator address to join")
+	fs.IntVar(&o.sites, "sites", 2, "cluster total process count for -listen, coordinator included")
+	fs.DurationVar(&o.quantum, "quantum", cluster.DefaultQuantum, "cluster advance-lease quantum of virtual time")
+	fs.StringVar(&o.ckptDir, "checkpoint", "", "cluster coordinator: write a cluster-wide domain checkpoint to this directory after the mid-run aggregate")
+	fs.BoolVar(&o.wired, "wired", false, "mirror every domain onto proxy 0 (wired replica; over the transport in cluster mode)")
+	fs.StringVar(&o.scenario, "scenario", "", "boot a scenario instead of the flag-built deployment: a spec JSON file from presto-scenario, or a built-in preset name; overrides -proxies/-motes/-shards/-days/-delta/-loss/-seed/-store/-aging/-wired and the trace generator")
+	fs.StringVar(&o.http, "http", "", "serve the HTTP/JSON query API on this address after bootstrap (e.g. :8080) instead of the built-in schedule")
+	fs.Float64Var(&o.httpQPS, "http-qps", 0, "per-tenant admission rate for the HTTP tier in queries/sec (0 = unlimited)")
+	fs.DurationVar(&o.httpPace, "http-pace", 0, "virtual time advanced per wall second in -http mode (0 = as fast as possible, then freeze at the horizon); standing queries need an advancing clock")
+	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ on the -http address")
+	fs.StringVar(&o.rtTrace, "runtime-trace", "", "write a runtime/trace capture of the run to this file")
+	fs.DurationVar(&o.slowQ, "slow-query", 0, "-http mode: log queries slower than this wall time with their trace (0 = off)")
+	fs.BoolVar(&o.verbose, "v", false, "print per-mote details")
+}
+
+// flagRules lists the flag combinations prestod refuses because the
+// chosen mode would silently ignore one of them: flag needs partner
+// (need) or must not come with it (!need).
+var flagRules = []struct {
+	flag, partner string
+	need          bool
+}{
+	{"checkpoint", "listen", true},
+	{"sites", "listen", true},
+	{"quantum", "listen", true},
+	{"http-qps", "http", true},
+	{"http-pace", "http", true},
+	{"pprof", "http", true},
+	{"slow-query", "http", true},
+	{"listen", "join", false},
+	{"http", "join", false},
+	{"checkpoint", "join", false},
+	{"every", "join", false},
+	{"queries", "join", false},
+}
+
+// checkFlags applies flagRules to the names of the flags given on the
+// command line.
+func checkFlags(set map[string]bool) error {
+	for _, r := range flagRules {
+		if !set[r.flag] || set[r.partner] == r.need {
+			continue
+		}
+		if r.need {
+			return fmt.Errorf("-%s needs -%s", r.flag, r.partner)
+		}
+		return fmt.Errorf("-%s cannot be combined with -%s", r.flag, r.partner)
+	}
+	return nil
+}
+
+// HTTP tier connection bounds: a client that trickles its request
+// headers, or parks an idle keep-alive connection, is cut off instead of
+// holding the connection forever. Response writes stay unbounded so SSE
+// streams can run as long as their query.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("prestod: ")
+	os.Exit(run())
+}
 
-	proxies := flag.Int("proxies", 2, "number of proxies")
-	motes := flag.Int("motes", 10, "motes per proxy")
-	shards := flag.Int("shards", 1, "concurrent simulation domains (clamped to proxies)")
-	days := flag.Int("days", 7, "days of virtual time to run")
-	delta := flag.Float64("delta", 1.0, "model-driven push threshold")
-	queries := flag.Int("queries", 200, "queries to issue after bootstrap")
-	precision := flag.Float64("precision", 1.0, "query precision (error tolerance)")
-	loss := flag.Float64("loss", 0.02, "radio loss probability")
-	seed := flag.Int64("seed", 1, "random seed")
-	storeBackend := flag.String("store", "mem", "archival store backend per domain: mem or flash")
-	aging := flag.String("aging", "wavelet", "flash compaction aging policy: wavelet[:tiers] or uniform")
-	maxStale := flag.Duration("max-staleness", 0, "per-query freshness bound (0 = unbounded); PAST windows whose tail overlaps now honor it too")
-	every := flag.Duration("every", 0, "standing query period of virtual time (0 = no continuous query)")
-	listen := flag.String("listen", "", "cluster coordinator: TCP listen address (host:port; :0 picks a port)")
-	join := flag.String("join", "", "cluster site: coordinator address to join")
-	sites := flag.Int("sites", 2, "cluster total process count for -listen, coordinator included")
-	quantum := flag.Duration("quantum", cluster.DefaultQuantum, "cluster advance-lease quantum of virtual time")
-	ckptDir := flag.String("checkpoint", "", "cluster coordinator: write a cluster-wide domain checkpoint to this directory after the mid-run aggregate")
-	wired := flag.Bool("wired", false, "cluster mode: mirror remote sites onto proxy 0 over the transport (wired replica)")
-	scenarioFlag := flag.String("scenario", "", "boot a scenario instead of the flag-built deployment: a spec JSON file from presto-scenario, or a built-in preset name; overrides -proxies/-motes/-shards/-days/-delta/-loss/-seed/-store/-aging/-wired and the trace generator")
-	httpAddr := flag.String("http", "", "serve the HTTP/JSON query API on this address after bootstrap (e.g. :8080) instead of the built-in query mix")
-	httpQPS := flag.Float64("http-qps", 0, "per-tenant admission rate for the HTTP tier in queries/sec (0 = unlimited)")
-	httpPace := flag.Duration("http-pace", 0, "virtual time advanced per wall second in -http mode (0 = as fast as possible, then freeze at the horizon); standing queries need an advancing clock")
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the -http address")
-	rtTrace := flag.String("runtime-trace", "", "write a runtime/trace capture of the run to this file")
-	slowQuery := flag.Duration("slow-query", 0, "-http mode: log queries slower than this wall time with their trace (0 = off)")
-	verbose := flag.Bool("v", false, "print per-mote details")
+func run() int {
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
-	httpPprof, httpSlowQuery = *pprofFlag, *slowQuery
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(set); err != nil {
+		fmt.Fprintf(os.Stderr, "prestod: %v\n", err)
+		flag.Usage()
+		return 2
+	}
 
-	if *rtTrace != "" {
-		f, err := os.Create(*rtTrace)
+	if o.rtTrace != "" {
+		f, err := os.Create(o.rtTrace)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -163,8 +260,9 @@ func main() {
 	defer stop()
 
 	var cfg core.Config
-	if *scenarioFlag != "" {
-		spec, err := loadScenarioSpec(*scenarioFlag)
+	var scenarioName string
+	if o.scenario != "" {
+		spec, err := loadScenarioSpec(o.scenario)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -173,274 +271,94 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg = sc.Config
-		*days = spec.Deployment.Days
-		scenarioLabel = spec.Name
+		o.days = spec.Deployment.Days
+		scenarioName = spec.Name
 		// Every process booting the same spec builds the same universe —
 		// cluster sites fingerprint-match the coordinator by construction.
-		if !flagWasSet("sites") {
-			*sites = spec.Deployment.Sites
+		if !set["sites"] {
+			o.sites = spec.Deployment.Sites
 		}
 		fmt.Printf("scenario: %q (seed %d), %d motes, deployment digest %s\n",
 			spec.Name, spec.Seed, spec.Deployment.Motes(), sc.DeploymentDigest()[:12])
 	} else {
 		genCfg := gen.DefaultTempConfig()
-		genCfg.Sensors = *proxies * *motes
-		genCfg.Days = *days
-		genCfg.Seed = *seed
+		genCfg.Sensors = o.proxies * o.motes
+		genCfg.Days = o.days
+		genCfg.Seed = o.seed
 		traces, err := gen.Temperature(genCfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 
 		cfg = core.DefaultConfig()
-		cfg.Seed = *seed
-		cfg.Proxies = *proxies
-		cfg.MotesPerProxy = *motes
-		cfg.Shards = *shards
-		cfg.Delta = *delta
-		cfg.Radio.LossProb = *loss
+		cfg.Seed = o.seed
+		cfg.Proxies = o.proxies
+		cfg.MotesPerProxy = o.motes
+		cfg.Shards = o.shards
+		cfg.Delta = o.delta
+		cfg.Radio.LossProb = o.loss
 		cfg.Traces = traces
-		cfg.WiredFirstProxy = *proxies > 1
-		cfg.StoreBackend = *storeBackend
-		cfg.StoreAging = *aging
+		cfg.WiredFirstProxy = o.wired
+		cfg.StoreBackend = o.store
+		cfg.StoreAging = o.aging
 	}
 
-	if *listen != "" || *join != "" {
-		if *listen != "" && *join != "" {
-			log.Fatal("-listen and -join are mutually exclusive")
-		}
-		// Replication in cluster mode is opt-in: its bridge-drain timing
-		// is wall-clock dependent, and the default keeps cluster runs
-		// bit-diffable against single-process runs of the same seed.
-		// Scenario specs carry their own wired setting, identically at
-		// every process.
-		if *scenarioFlag == "" {
-			cfg.WiredFirstProxy = *wired
-		}
-		if *join != "" {
-			runClusterSite(ctx, *join, cfg)
-			return
-		}
-		runClusterCoordinator(ctx, *listen, cfg, *sites, *quantum, *days, cfg.Delta, *precision, *every, *ckptDir, *httpAddr, *httpQPS, *httpPace)
-		return
+	if o.join != "" {
+		runClusterSite(ctx, o.join, cfg)
+		return 0
 	}
 
-	n, err := core.Build(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer n.Close()
-
-	fmt.Printf("deployment: %d proxies x %d motes, %d days, delta=%.2f, loss=%.1f%%, %d shard(s), %s store\n",
-		cfg.Proxies, cfg.MotesPerProxy, *days, cfg.Delta, cfg.Radio.LossProb*100, n.Shards(), storeName(cfg))
-
-	// Bootstrap: 36h training stream, then model-driven operation.
-	trainFor := 36 * time.Hour
-	if d := time.Duration(*days) * 24 * time.Hour; trainFor > d/2 {
-		trainFor = d / 2
-	}
-	fmt.Printf("bootstrap: streaming for %v, then training seasonal-anchored models...\n", trainFor)
-	models, err := n.Bootstrap(trainFor, 48, cfg.Delta)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("bootstrap: %d models trained and shipped\n", len(models))
-
-	remaining := time.Duration(*days)*24*time.Hour - trainFor
-
-	// Serve mode: front the deployment with the HTTP tier and block until
-	// a signal, advancing the virtual clock to the horizon in the
-	// background.
-	if *httpAddr != "" {
-		err := serveHTTP(ctx, n, *httpAddr, *httpQPS, *httpPace, remaining,
-			func(_ context.Context, d time.Duration) error { n.Run(d); return nil })
+	// The one mode decision: everything below drives the seam.
+	var dep deployment
+	if o.listen != "" {
+		co, err := cluster.Listen(cluster.TCP{}, o.listen, cfg, cluster.Options{Sites: o.sites, Quantum: o.quantum})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("deployment: done after %v of virtual time\n", n.Now())
-		return
-	}
-
-	// Run the remaining time with a query mix sprinkled in, posed through
-	// the declarative client facade.
-	c := n.Client()
-	perQuery := remaining / time.Duration(*queries+1)
-
-	// Standing query: a bounded continuous NOW spec over every mote
-	// delivers one fleet snapshot per -every of virtual time; the stream
-	// closes itself after the run's horizon.
-	var snapshots int
-	var contDone chan struct{}
-	var contStream *core.ResultStream
-	if *every > 0 {
-		stream, err := c.Query(context.Background(), query.Spec{
-			Type: query.Now, Precision: *precision, MaxStaleness: *maxStale,
-			Continuous: &query.Continuous{Every: *every, Until: remaining},
-		})
-		if err != nil {
+		fmt.Printf("cluster: listening on %s, waiting for %d site(s)\n", co.Addr(), o.sites-1)
+		if err := co.AcceptSites(ctx); err != nil {
+			co.Close()
 			log.Fatal(err)
 		}
-		contStream = stream
-		contDone = make(chan struct{})
-		go func() {
-			defer close(contDone)
-			for snap := range stream.Results() {
-				if snap.Failed == 0 {
-					snapshots++
-				}
-			}
-		}()
-	}
-
-	var latencies []float64
-	var errs []float64
-	bySource := map[proxy.Source]int{}
-	rng := n.Sim.Rand()
-	ids := n.MoteIDs()
-	interrupted := false
-	for i := 0; i < *queries; i++ {
-		if ctx.Err() != nil {
-			// Signal: stop issuing new queries; everything already posed
-			// drains below (the in-flight QueryOne runs on its own ctx).
-			interrupted = true
-			break
-		}
-		n.Run(perQuery)
-		id := ids[rng.Intn(len(ids))]
-		spec := query.Spec{Type: query.Now, Select: query.SelectMotes(id), Precision: *precision, MaxStaleness: *maxStale}
-		if rng.Float64() < 0.3 { // 30% PAST point queries
-			back := simtime.Time(time.Duration(1+rng.Intn(600)) * time.Minute)
-			at := n.Now() - back
-			if at < 0 {
-				at = 0
-			}
-			// PAST queries carry the bound too: it bites only when the
-			// window tail overlaps the staleness horizon.
-			spec = query.Spec{Type: query.Past, Select: query.SelectMotes(id), T0: at, T1: at, Precision: *precision, MaxStaleness: *maxStale}
-		}
-		set, err := c.QueryOne(context.Background(), spec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if len(set.Results) != 1 {
-			log.Fatalf("query for mote %d answered %d results (%d failed)", id, len(set.Results), set.Failed)
-		}
-		res := set.Results[0]
-		latencies = append(latencies, res.Latency().Seconds()*1000)
-		bySource[res.Answer.Source]++
-		if v, ok := res.Answer.Value(); ok {
-			at := res.Answer.Entries[0].T
-			truth, err := n.Truth(id, at)
-			if err == nil {
-				errs = append(errs, abs(v-truth))
-			}
-		}
-	}
-	if interrupted {
-		fmt.Println("\nsignal received: draining and reporting early")
-		if contStream != nil {
-			contStream.Close() // tear the standing query down cleanly
-		}
+		dep = co
 	} else {
-		n.Run(remaining - perQuery*time.Duration(*queries))
+		n, err := core.Build(cfg)
+		if err != nil {
+			log.Fatal(err)
+		}
+		dep = single{n}
 	}
-	if contDone != nil {
-		<-contDone
-	}
+	defer dep.Close()
 
-	// Report.
-	fmt.Printf("\n=== after %v of virtual time ===\n", n.Now())
-	total := n.TotalMoteEnergy()
-	perMoteDay := total.Total() / float64(len(ids)) / float64(*days)
-	fmt.Printf("mote energy: %.2f J/day/mote (%s)\n", perMoteDay, total.String())
-	fmt.Printf("est. lifetime on 2xAA: %.0f days\n",
-		energy.Lifetime(energy.AABatteryJ, perMoteDay, 24*time.Hour).Hours()/24)
+	lay := dep.Network().Layout()
+	store := cfg.StoreBackend
+	if store == "" {
+		store = "mem" // core's default backend
+	}
+	fmt.Printf("deployment: %d proxies x %d motes, %d days, delta=%.2f, loss=%.1f%%, %d shard(s), %s store, wired=%v\n",
+		cfg.Proxies, cfg.MotesPerProxy, o.days, cfg.Delta, cfg.Radio.LossProb*100, lay.Shards, store, cfg.WiredFirstProxy)
 
-	p50, _ := stats.Median(latencies)
-	p95, _ := stats.Quantile(latencies, 0.95)
-	fmt.Printf("query latency: p50=%.1f ms p95=%.1f ms over %d queries\n", p50, p95, len(latencies))
-	fmt.Printf("answers: cache=%d model=%d pull=%d timeout=%d archive=%d\n",
-		bySource[proxy.FromCache], bySource[proxy.FromModel], bySource[proxy.FromPull],
-		bySource[proxy.FromTimeout], bySource[proxy.FromArchive])
-	submitted, replicaServed, bridgeSent, bridgeDelivered := n.EngineStats()
-	fmt.Printf("engine: %d submitted, %d replica-served, %d replica-bypassed (stale), bridge %d/%d sent/delivered\n",
-		submitted, replicaServed, n.ReplicaBypassed(), bridgeSent, bridgeDelivered)
-	if *every > 0 {
-		fmt.Printf("standing query: %d fleet snapshots delivered (one per %v of virtual time, 1 submission each)\n",
-			snapshots, *every)
-		if snapshots == 0 && !interrupted {
-			fmt.Fprintln(os.Stderr, "prestod: standing query delivered no snapshots")
-			os.Exit(1)
-		}
+	trainFor := min(36*time.Hour, time.Duration(o.days)*24*time.Hour/2)
+	fmt.Printf("bootstrap: streaming for %v, then training seasonal-anchored models...\n", trainFor)
+	if err := dep.Bootstrap(ctx, trainFor, 48, cfg.Delta); err != nil {
+		log.Fatal(err)
 	}
-	ss := n.StoreStats()
-	bs := n.StoreBackendStats()
-	fmt.Printf("store: %d proxy-routed, %d replica-offered (%d stale-rejected), %d archive-served (%d stale-declined)\n",
-		ss.Routed, ss.ReplicaRouted, ss.ReplicaStale, ss.ArchiveServed, ss.ArchiveStale)
-	fmt.Printf("archive backend: %d records (%d appends, %d dropped), %d range reads, read-amp %.2f",
-		bs.Records, bs.Appends, bs.Dropped, bs.QueryRanges, bs.ReadAmp())
-	if cfg.StoreBackend == "flash" {
-		fmt.Printf(", %d pages written, %d pages read, %d compactions (%s aging, %d wavelet chunks)",
-			bs.PagesWritten, bs.PagesRead, bs.Compactions, cfg.StoreAging, bs.WaveletChunks)
-		if bs.RecordsSkipped > 0 {
-			fmt.Printf(", chunk directory skipped %d records (read-amp %.2f without it)",
-				bs.RecordsSkipped, bs.ReadAmpNoDir())
-		}
-	}
-	fmt.Println()
-	if len(errs) > 0 {
-		lo, hi, _ := stats.MinMax(errs)
-		fmt.Printf("answer error vs ground truth: mean=%.3f max=%.3f (min %.3f); precision=%.2f\n",
-			stats.Mean(errs), hi, lo, *precision)
-	}
+	fmt.Printf("bootstrap: %d models trained and shipped\n", len(lay.AllMotes()))
+	remaining := time.Duration(o.days)*24*time.Hour - trainFor
 
-	if *verbose {
-		fmt.Println("\nper-mote detail:")
-		for _, id := range ids {
-			st, _ := n.MoteStats(id)
-			m, _ := n.MoteEnergy(id)
-			fmt.Printf("  mote %3d: samples=%d pushes=%d pulls=%d energy=%.2f J\n",
-				id, st.Samples, st.Pushes, st.PullsServed, m.Total())
+	if o.http != "" {
+		scfg := serve.Config{Admit: serve.AdmitConfig{QPS: o.httpQPS}, Scenario: scenarioName, SlowQuery: o.slowQ}
+		if err := serveHTTP(ctx, dep, scfg, &o, remaining); err != nil {
+			log.Fatal(err)
 		}
+		fmt.Printf("deployment: done after %v of virtual time\n", dep.Now())
+		return 0
 	}
-
-	// Exit non-zero if any query exceeded the precision promise (pull
-	// answers are exact; model answers bounded by delta<=precision).
-	// Cross-domain replica answers can additionally lag the wireless
-	// domain by up to one bridge drain quantum, so sharded runs tolerate
-	// one extra delta of staleness.
-	slack := *precision + 0.101 // small slack for float32 wire encoding
-	if n.Shards() > 1 {
-		// Cross-domain replica answers can lag by up to the pushing
-		// mote's own threshold; heterogeneous scenarios override it
-		// per mote.
-		maxDelta := cfg.Delta
-		for _, d := range cfg.MoteDeltas {
-			if d > maxDelta {
-				maxDelta = d
-			}
-		}
-		slack += maxDelta
+	if !drive(ctx, dep, cfg, &o, remaining) {
+		return 1
 	}
-	for _, e := range errs {
-		if e > slack {
-			fmt.Fprintf(os.Stderr, "prestod: answer error %.3f exceeded precision %.2f\n", e, *precision)
-			os.Exit(1)
-		}
-	}
+	return 0
 }
-
-// scenarioLabel names the scenario this process booted (empty when the
-// deployment came from plain flags); it labels the HTTP tier's /statsz.
-var scenarioLabel string
-
-// HTTP-tier observability knobs, set once from flags in main and read
-// by serveHTTP — package-level like scenarioLabel so the cluster path
-// need not thread them through runClusterCoordinator.
-var (
-	httpPprof     bool
-	httpSlowQuery time.Duration
-)
 
 // loadScenarioSpec resolves -scenario: an existing JSON file wins,
 // otherwise the value names a built-in preset.
@@ -449,26 +367,6 @@ func loadScenarioSpec(v string) (scenario.Spec, error) {
 		return scenario.LoadFile(v)
 	}
 	return scenario.Preset(v)
-}
-
-// flagWasSet reports whether the named flag was given on the command
-// line (as opposed to resting at its default).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// storeName prints a config's archival backend, naming the default.
-func storeName(cfg core.Config) string {
-	if cfg.StoreBackend == "" {
-		return "mem"
-	}
-	return cfg.StoreBackend
 }
 
 // runClusterSite joins a cluster and serves its assigned domain window
@@ -485,86 +383,65 @@ func runClusterSite(ctx context.Context, addr string, cfg core.Config) {
 	fmt.Println("cluster: coordinator closed the session; site done")
 }
 
-// runClusterCoordinator drives a whole cluster run: accept joiners,
-// bootstrap, advance on leases, pose a trailing multi-site AGG (printed
-// at full float64 precision for diffing against single-process runs),
-// then optionally a standing fleet-snapshot query. The schedule is
-// deterministic in the flags: train for min(36h, days/2), run half the
-// remaining time quietly, query, then run the other half (under the
-// standing query when -every is set).
-func runClusterCoordinator(ctx context.Context, addr string, cfg core.Config, sites int, quantum time.Duration, days int, delta, precision float64, every time.Duration, ckptDir, httpAddr string, httpQPS float64, httpPace time.Duration) {
-	co, err := cluster.Listen(cluster.TCP{}, addr, cfg, cluster.Options{Sites: sites, Quantum: quantum})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer co.Close()
-	fmt.Printf("cluster: listening on %s, waiting for %d site(s)\n", co.Addr(), sites-1)
-	if err := co.AcceptSites(ctx); err != nil {
-		log.Fatal(err)
-	}
-	lay := co.Network().Layout()
-	fmt.Printf("cluster: %d sites serving %d domains (%d motes)\n",
-		sites, lay.Shards, len(lay.AllMotes()))
+// tally collects the back half's query-mix and standing-query outcomes.
+type tally struct {
+	latencies, errs []float64
+	bySource        map[proxy.Source]int
+	snapshots       int
+}
 
-	trainFor := 36 * time.Hour
-	if d := time.Duration(days) * 24 * time.Hour; trainFor > d/2 {
-		trainFor = d / 2
-	}
-	fmt.Printf("cluster: bootstrapping (streaming %v, then model-driven)...\n", trainFor)
-	if err := co.Bootstrap(ctx, trainFor, 48, delta); err != nil {
-		log.Fatal(err)
-	}
-	remaining := time.Duration(days)*24*time.Hour - trainFor
-
-	// Serve mode: the coordinator itself is the engine behind the HTTP
-	// tier (it implements SubmitSpec and the cluster clock); the deferred
-	// Close stops the sites once the drain finishes.
-	if httpAddr != "" {
-		if err := serveHTTP(ctx, clusterEngine{co}, httpAddr, httpQPS, httpPace, remaining, co.Run); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("cluster: done after %v of virtual time\n", co.Now())
-		return
-	}
-
-	quiet := remaining / 2
-	if err := co.Run(ctx, quiet); err != nil {
-		if ctx.Err() != nil {
-			fmt.Println("cluster: signal received; shutting the sites down")
+// drive runs steps 2-6 of the schedule on a bootstrapped deployment and
+// reports false if a check failed. A signal stops the schedule early and
+// falls through to the report.
+func drive(ctx context.Context, dep deployment, cfg core.Config, o *options, remaining time.Duration) bool {
+	interrupted := false
+	advance := func(d time.Duration) {
+		if interrupted {
 			return
 		}
-		log.Fatal(err)
+		if err := dep.Run(ctx, d); err != nil {
+			if ctx.Err() == nil {
+				log.Fatal(err)
+			}
+			interrupted = true
+		}
 	}
+	c := dep.Client()
+	quiet := remaining / 2
+	back := remaining - quiet
+	advance(quiet)
 
-	// The multi-site aggregate: one scatter frame per site, partials
-	// merged with honest bounds. Full precision so a single-process run
-	// of the same seed can be diffed bit-for-bit.
-	res, err := co.Client().QueryOne(ctx, query.Spec{
-		Type: query.Agg, Agg: query.Mean, Precision: precision, Trailing: 2 * time.Hour,
-	})
-	if err != nil {
-		log.Fatal(err)
+	// The trailing aggregate over every mote: one scatter frame per
+	// remote site, partials merged with honest bounds. Full precision so
+	// runs in either mode diff bit for bit.
+	if !interrupted {
+		res, err := c.QueryOne(ctx, query.Spec{
+			Type: query.Agg, Agg: query.Mean, Precision: o.precision, Trailing: 2 * time.Hour,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		if res.Err != nil || res.Count == 0 {
+			log.Fatalf("aggregate unusable: err=%v count=%d", res.Err, res.Count)
+		}
+		for _, se := range res.SiteErrs {
+			fmt.Fprintf(os.Stderr, "prestod: site %d failed the round: %v\n", se.Site, se.Err)
+		}
+		if len(res.SiteErrs) > 0 {
+			return false
+		}
+		fmt.Printf("cluster agg: mean=%.17g bound=%.17g count=%d at=%v\n",
+			res.Value, res.ErrBound, res.Count, res.At)
 	}
-	if res.Err != nil || res.Count == 0 {
-		log.Fatalf("cluster aggregate unusable: err=%v count=%d", res.Err, res.Count)
-	}
-	for _, se := range res.SiteErrs {
-		fmt.Fprintf(os.Stderr, "prestod: site %d failed the round: %v\n", se.Site, se.Err)
-	}
-	if len(res.SiteErrs) > 0 {
-		os.Exit(1)
-	}
-	fmt.Printf("cluster agg: mean=%.17g bound=%.17g count=%d at=%v\n",
-		res.Value, res.ErrBound, res.Count, res.At)
 
 	// -checkpoint: capture every domain at this lease instant (sites are
 	// quiescent between Runs) and persist it for warm failover / re-join.
-	if ckptDir != "" {
+	if co, ok := dep.(*cluster.Coordinator); ok && o.ckptDir != "" && !interrupted {
 		ck, err := co.CheckpointDomains(ctx)
 		if err != nil {
 			log.Fatalf("checkpoint: %v", err)
 		}
-		if err := ck.WriteDir(ckptDir); err != nil {
+		if err := ck.WriteDir(o.ckptDir); err != nil {
 			log.Fatalf("checkpoint: %v", err)
 		}
 		bytes := 0
@@ -572,181 +449,227 @@ func runClusterCoordinator(ctx context.Context, addr string, cfg core.Config, si
 			bytes += len(b)
 		}
 		fmt.Printf("cluster checkpoint: %d domains (%d bytes) at %v written to %s\n",
-			len(ck.Blobs), bytes, ck.At, ckptDir)
+			len(ck.Blobs), bytes, ck.At, o.ckptDir)
 	}
 
-	// Standing query over the back half of the run. A signal mid-run
-	// closes the stream (it rides ctx) and falls through to the report.
-	snapshots := 0
-	interrupted := false
-	if every > 0 {
-		stream, err := co.Client().Query(ctx, query.Spec{
-			Type: query.Now, Precision: precision,
-			Continuous: &query.Continuous{Every: every, Until: remaining - quiet},
+	// Back half. The standing query spans all of it and closes itself at
+	// its horizon; a signal closes it early.
+	t := tally{bySource: map[proxy.Source]int{}}
+	var stream *core.ResultStream
+	snapsDone := make(chan struct{})
+	if o.every > 0 && !interrupted {
+		var err error
+		stream, err = c.Query(ctx, query.Spec{
+			Type: query.Now, Precision: o.precision, MaxStaleness: o.maxStale,
+			Continuous: &query.Continuous{Every: o.every, Until: back},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		done := make(chan int, 1)
 		go func() {
-			n := 0
+			defer close(snapsDone)
 			for snap := range stream.Results() {
 				if snap.Failed == 0 {
-					n++
+					t.snapshots++
 				}
 			}
-			done <- n
 		}()
-		if err := co.Run(ctx, remaining-quiet); err != nil {
-			if ctx.Err() == nil {
-				log.Fatal(err)
+	} else {
+		close(snapsDone)
+	}
+
+	// The query mix: one-mote NOW/PAST specs spread evenly over the back
+	// half, targets drawn from their own seeded source so the mix never
+	// perturbs the simulation's randomness.
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	ids := dep.Network().Layout().AllMotes()
+	perQuery := back / time.Duration(o.queries+1)
+	for i := 0; i < o.queries && !interrupted; i++ {
+		advance(perQuery)
+		id := ids[rng.Intn(len(ids))]
+		spec := query.Spec{Type: query.Now, Select: query.SelectMotes(id), Precision: o.precision, MaxStaleness: o.maxStale}
+		if rng.Float64() < 0.3 { // 30% PAST point queries
+			at := max(dep.Now()-simtime.Time(time.Duration(1+rng.Intn(600))*time.Minute), 0)
+			// PAST queries carry the bound too: it bites only when the
+			// window tail overlaps the staleness horizon.
+			spec.Type, spec.T0, spec.T1 = query.Past, at, at
+		}
+		// The in-flight query runs on its own context so a signal lets
+		// it drain.
+		set, err := c.QueryOne(context.Background(), spec)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if len(set.Results) != 1 {
+			log.Fatalf("query for mote %d answered %d results (%d failed)", id, len(set.Results), set.Failed)
+		}
+		res := set.Results[0]
+		t.latencies = append(t.latencies, res.Latency().Seconds()*1000)
+		t.bySource[res.Answer.Source]++
+		if v, ok := res.Answer.Value(); ok {
+			if truth, err := dep.Network().Truth(id, res.Answer.Entries[0].T); err == nil {
+				t.errs = append(t.errs, math.Abs(v-truth))
 			}
-			interrupted = true
+		}
+	}
+	advance(back - perQuery*time.Duration(o.queries))
+	if interrupted {
+		fmt.Println("\nsignal received: draining and reporting early")
+		if stream != nil {
 			stream.Close()
 		}
-		snapshots = <-done
-	} else {
-		if err := co.Run(ctx, remaining-quiet); err != nil {
-			if ctx.Err() == nil {
-				log.Fatal(err)
-			}
-			interrupted = true
-		}
 	}
-
-	for i, st := range co.SiteStats() {
-		fmt.Printf("cluster frames: site %d sent=%d recv=%d scatter=%d partials=%d bridge=%d\n",
-			i+1, st.Sent, st.Recv, st.SentKind[wire.FrameScatter],
-			st.RecvKind[wire.FramePartials], st.RecvKind[wire.FrameBridge])
-	}
-	if every > 0 {
-		fmt.Printf("cluster standing query: %d fleet snapshots (one per %v of virtual time)\n", snapshots, every)
-		if snapshots == 0 && !interrupted {
-			fmt.Fprintln(os.Stderr, "prestod: cluster standing query delivered no snapshots")
-			os.Exit(1)
-		}
-	}
-	h := co.Health()
-	alive := 0
-	for _, sh := range h.Sites {
-		if sh.Alive {
-			alive++
-		}
-	}
-	fmt.Printf("cluster health: %d/%d sites alive, %d migration(s), %d re-join(s)\n",
-		alive, len(h.Sites), h.Migrations, h.Rejoins)
-	fmt.Printf("cluster: done after %v of virtual time\n", co.Now())
+	<-snapsDone
+	return report(dep, cfg, o, &t, interrupted)
 }
 
-// clusterEngine fronts the HTTP tier with a cluster coordinator and
-// surfaces its elasticity telemetry as the /statsz cluster section.
-type clusterEngine struct{ *cluster.Coordinator }
+// report prints the run's outcome — the network section for the motes
+// this process hosts, the coordinator's per-site lines — and checks the
+// precision promise and the standing query.
+func report(dep deployment, cfg core.Config, o *options, t *tally, interrupted bool) bool {
+	n := dep.Network()
+	ids := n.MoteIDs()
+	lay := n.Layout()
+	fmt.Printf("\n=== after %v of virtual time (%d of %d motes hosted here) ===\n", dep.Now(), len(ids), len(lay.AllMotes()))
+	total := n.TotalMoteEnergy()
+	perMoteDay := total.Total() / float64(len(ids)) / float64(o.days)
+	fmt.Printf("mote energy: %.2f J/day/mote (%s)\n", perMoteDay, total.String())
+	fmt.Printf("est. lifetime on 2xAA: %.0f days\n",
+		energy.Lifetime(energy.AABatteryJ, perMoteDay, 24*time.Hour).Hours()/24)
 
-func (e clusterEngine) ClusterHealth() serve.ClusterHealth {
-	h := e.Coordinator.Health()
-	ch := serve.ClusterHealth{
-		LeaseInstant: h.Lease.String(),
-		Migrations:   h.Migrations,
-		Rejoins:      h.Rejoins,
-	}
-	if h.LastMigration > 0 {
-		ch.LastMigration = h.LastMigration.String()
-	}
-	if h.LastCheckpoint > 0 {
-		ch.LastCheckpoint = h.LastCheckpoint.String()
-	}
-	stats := e.Coordinator.SiteStats() // indexed site-1; site 0 has no connection
-	for _, sh := range h.Sites {
-		if sh.Alive {
-			ch.SitesAlive++
+	p50, _ := stats.Median(t.latencies)
+	p95, _ := stats.Quantile(t.latencies, 0.95)
+	fmt.Printf("query latency: p50=%.1f ms p95=%.1f ms over %d queries\n", p50, p95, len(t.latencies))
+	fmt.Printf("answers: cache=%d model=%d pull=%d timeout=%d archive=%d\n",
+		t.bySource[proxy.FromCache], t.bySource[proxy.FromModel], t.bySource[proxy.FromPull],
+		t.bySource[proxy.FromTimeout], t.bySource[proxy.FromArchive])
+	submitted, replicaServed, bridgeSent, bridgeDelivered := n.EngineStats()
+	fmt.Printf("engine: %d submitted, %d replica-served, %d replica-bypassed (stale), bridge %d/%d sent/delivered\n",
+		submitted, replicaServed, n.ReplicaBypassed(), bridgeSent, bridgeDelivered)
+	ss := n.StoreStats()
+	bs := n.StoreBackendStats()
+	fmt.Printf("store: %d proxy-routed, %d replica-offered (%d stale-rejected), %d archive-served (%d stale-declined)\n",
+		ss.Routed, ss.ReplicaRouted, ss.ReplicaStale, ss.ArchiveServed, ss.ArchiveStale)
+	fmt.Printf("archive backend: %d records (%d appends, %d dropped), %d range reads, read-amp %.2f",
+		bs.Records, bs.Appends, bs.Dropped, bs.QueryRanges, bs.ReadAmp())
+	if cfg.StoreBackend == "flash" {
+		fmt.Printf(", %d pages written, %d pages read, %d compactions (%s aging, %d wavelet chunks)",
+			bs.PagesWritten, bs.PagesRead, bs.Compactions, cfg.StoreAging, bs.WaveletChunks)
+		if bs.RecordsSkipped > 0 {
+			fmt.Printf(", chunk directory skipped %d records (read-amp %.2f without it)",
+				bs.RecordsSkipped, bs.ReadAmpNoDir())
 		}
-		csh := serve.ClusterSiteHealth{Site: sh.Site, Domains: sh.Domains, Alive: sh.Alive}
-		if sh.Site >= 1 && sh.Site <= len(stats) {
-			st := stats[sh.Site-1]
-			csh.FramesSent, csh.FramesRecv = st.Sent, st.Recv
-			csh.WireSentBytes, csh.WireRecvBytes = st.SentBytes, st.RecvBytes
-			csh.SentKindBytes = kindBytes(st.SentKindBytes)
-			csh.RecvKindBytes = kindBytes(st.RecvKindBytes)
-		}
-		ch.Sites = append(ch.Sites, csh)
 	}
-	return ch
+	fmt.Println()
+	if len(t.errs) > 0 {
+		lo, hi, _ := stats.MinMax(t.errs)
+		fmt.Printf("answer error vs ground truth: mean=%.3f max=%.3f (min %.3f); precision=%.2f\n",
+			stats.Mean(t.errs), hi, lo, o.precision)
+	}
+	if o.verbose {
+		fmt.Println("\nper-mote detail:")
+		for _, id := range ids {
+			st, _ := n.MoteStats(id)
+			m, _ := n.MoteEnergy(id)
+			fmt.Printf("  mote %3d: samples=%d pushes=%d pulls=%d energy=%.2f J\n",
+				id, st.Samples, st.Pushes, st.PullsServed, m.Total())
+		}
+	}
+	if co, ok := dep.(*cluster.Coordinator); ok {
+		for i, st := range co.SiteStats() {
+			fmt.Printf("cluster frames: site %d sent=%d recv=%d scatter=%d partials=%d bridge=%d\n",
+				i+1, st.Sent, st.Recv, st.SentKind[wire.FrameScatter],
+				st.RecvKind[wire.FramePartials], st.RecvKind[wire.FrameBridge])
+		}
+		h := co.ClusterHealth()
+		fmt.Printf("cluster health: %d/%d sites alive, %d migration(s), %d re-join(s)\n",
+			h.SitesAlive, len(h.Sites), h.Migrations, h.Rejoins)
+	}
+
+	ok := true
+	if o.every > 0 {
+		fmt.Printf("standing query: %d fleet snapshots delivered (one per %v of virtual time, 1 submission each)\n",
+			t.snapshots, o.every)
+		if t.snapshots == 0 && !interrupted {
+			fmt.Fprintln(os.Stderr, "prestod: standing query delivered no snapshots")
+			ok = false
+		}
+	}
+	// Pull answers are exact and model answers bounded by delta <=
+	// precision; the slack covers float32 wire encoding. Cross-domain
+	// replica answers can additionally lag by up to the pushing mote's
+	// own threshold (heterogeneous scenarios override it per mote).
+	slack := o.precision + 0.101
+	if lay.Shards > 1 {
+		maxDelta := cfg.Delta
+		for _, d := range cfg.MoteDeltas {
+			maxDelta = max(maxDelta, d)
+		}
+		slack += maxDelta
+	}
+	for _, e := range t.errs {
+		if e > slack {
+			fmt.Fprintf(os.Stderr, "prestod: answer error %.3f exceeded precision %.2f\n", e, o.precision)
+			return false
+		}
+	}
+	return ok
 }
 
-// kindBytes folds a per-frame-kind byte counter array into the JSON
-// map /statsz serves, keyed by kind name and omitting idle kinds.
-func kindBytes(a [wire.FrameKindMax + 1]uint64) map[string]uint64 {
-	var m map[string]uint64
-	for k := wire.FrameKind(1); k <= wire.FrameKindMax; k++ {
-		if a[k] == 0 {
-			continue
-		}
-		if m == nil {
-			m = make(map[string]uint64)
-		}
-		m[k.String()] = a[k]
-	}
-	return m
-}
-
-// serveHTTP fronts an engine with the internal/serve HTTP tier and
+// serveHTTP fronts the deployment with the internal/serve HTTP tier and
 // blocks until the signal context fires, then drains gracefully: SSE
 // streams end with a shutdown event, in-flight one-shot queries finish
 // through http.Server.Shutdown, and only then does the caller tear the
-// engine down. advance drives the engine's virtual clock; it is called
-// in small chunks until the horizon so standing queries keep firing
-// while requests land, then the clock freezes and the tier keeps
-// serving (deterministically, for cache demos) until a signal.
-func serveHTTP(ctx context.Context, eng serve.Engine, addr string, qps float64, pace, horizon time.Duration, advance func(context.Context, time.Duration) error) error {
-	srv := serve.New(eng, serve.Config{Admit: serve.AdmitConfig{QPS: qps}, Scenario: scenarioLabel, SlowQuery: httpSlowQuery})
-	lis, err := net.Listen("tcp", addr)
+// deployment down. The virtual clock advances in small chunks until the
+// horizon so standing queries keep firing while requests land, then
+// freezes and the tier keeps serving (deterministically, for cache
+// demos) until a signal.
+func serveHTTP(ctx context.Context, dep deployment, cfg serve.Config, o *options, horizon time.Duration) error {
+	srv := serve.New(dep, cfg)
+	lis, err := net.Listen("tcp", o.http)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("http: serving on %s (virtual clock at %v, advancing %v)\n", lis.Addr(), eng.Now(), horizon)
+	fmt.Printf("http: serving on %s (virtual clock at %v, advancing %v)\n", lis.Addr(), dep.Now(), horizon)
 	handler := srv.Handler()
-	if httpPprof {
+	if o.pprof {
 		// The serve mux owns everything else; pprof rides the same
 		// listener so one curl target covers metrics and profiles.
 		mux := http.NewServeMux()
 		mux.Handle("/", handler)
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mux.Handle("/debug/pprof/", http.DefaultServeMux)
 		handler = mux
 		fmt.Println("http: pprof mounted at /debug/pprof/")
 	}
-	hs := &http.Server{Handler: handler}
+	hs := &http.Server{Handler: handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- hs.Serve(lis) }()
 
+	// Advance the clock to the horizon, then leave it frozen. drvErr
+	// carries a failure that is not the drain's own cancellation.
 	drvCtx, drvCancel := context.WithCancel(ctx)
 	defer drvCancel()
-	drvDone := make(chan error, 1)
+	drvErr := make(chan error, 1)
+	drvDone := make(chan struct{})
 	go func() {
+		defer close(drvDone)
 		const chunk = 10 * time.Minute // virtual time per advance slice
 		var tick <-chan time.Time
-		if pace > 0 {
+		if o.httpPace > 0 {
 			// Real-time pacing: one chunk of virtual time per
 			// chunk/pace of wall time, so standing queries fire at a
 			// human-watchable rate instead of the horizon flashing by.
-			t := time.NewTicker(time.Duration(float64(chunk) / float64(pace) * float64(time.Second)))
+			t := time.NewTicker(time.Duration(float64(chunk) / float64(o.httpPace) * float64(time.Second)))
 			defer t.Stop()
 			tick = t.C
 		}
-		left := horizon
-		for left > 0 && drvCtx.Err() == nil {
-			d := chunk
-			if d > left {
-				d = left
-			}
-			if err := advance(drvCtx, d); err != nil {
-				drvDone <- err
+		for left := horizon; left > 0 && drvCtx.Err() == nil; left -= chunk {
+			if err := dep.Run(drvCtx, min(chunk, left)); err != nil {
+				if drvCtx.Err() == nil {
+					drvErr <- fmt.Errorf("http: advancing virtual time: %w", err)
+				}
 				return
 			}
-			left -= d
 			if tick != nil {
 				select {
 				case <-tick:
@@ -754,7 +677,6 @@ func serveHTTP(ctx context.Context, eng serve.Engine, addr string, qps float64, 
 				}
 			}
 		}
-		drvDone <- nil
 	}()
 
 	var bail error
@@ -763,21 +685,7 @@ func serveHTTP(ctx context.Context, eng serve.Engine, addr string, qps float64, 
 		fmt.Println("http: signal received; draining")
 	case err := <-httpErr:
 		bail = fmt.Errorf("http: serve: %w", err)
-	case err := <-drvDone:
-		if err != nil && drvCtx.Err() == nil {
-			bail = fmt.Errorf("http: advancing virtual time: %w", err)
-			drvDone <- nil // the final drain below re-reads this channel
-		} else {
-			// Horizon reached: keep serving with the clock frozen until a
-			// signal arrives.
-			drvDone <- nil
-			select {
-			case <-ctx.Done():
-				fmt.Println("http: signal received; draining")
-			case err := <-httpErr:
-				bail = fmt.Errorf("http: serve: %w", err)
-			}
-		}
+	case bail = <-drvErr:
 	}
 
 	srv.Close() // end SSE streams first so Shutdown cannot hang on them
@@ -787,8 +695,9 @@ func serveHTTP(ctx context.Context, eng serve.Engine, addr string, qps float64, 
 		bail = fmt.Errorf("http: shutdown: %w", err)
 	}
 	drvCancel()
-	if err := <-drvDone; err != nil && bail == nil && !errors.Is(err, context.Canceled) {
-		bail = err
+	<-drvDone
+	if bail == nil && len(drvErr) > 0 {
+		bail = <-drvErr
 	}
 
 	st := srv.Snapshot()
@@ -796,11 +705,4 @@ func serveHTTP(ctx context.Context, eng serve.Engine, addr string, qps float64, 
 		st.Queries, st.Errors, st.Cache.Hits, st.Cache.Hits+st.Cache.Misses, st.CacheHitRatio,
 		st.SSE.Streams, st.SSE.Rounds, st.Admit.Throttled)
 	return bail
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

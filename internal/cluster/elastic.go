@@ -20,6 +20,7 @@ import (
 
 	"presto/internal/core"
 	"presto/internal/query"
+	"presto/internal/serve"
 	"presto/internal/simtime"
 	"presto/internal/wire"
 )
@@ -603,4 +604,55 @@ func (co *Coordinator) Health() Health {
 		h.Sites = append(h.Sites, sh)
 	}
 	return h
+}
+
+// ClusterHealth renders Health plus each remote site's wire counters as
+// the serving tier's /statsz cluster section, so the coordinator fronts
+// serve.Server directly. Site 0 has no connection: its wire counters
+// stay zero and its kind maps nil.
+func (co *Coordinator) ClusterHealth() serve.ClusterHealth {
+	h := co.Health()
+	ch := serve.ClusterHealth{
+		LeaseInstant: h.Lease.String(),
+		Migrations:   h.Migrations,
+		Rejoins:      h.Rejoins,
+	}
+	if h.LastMigration > 0 {
+		ch.LastMigration = h.LastMigration.String()
+	}
+	if h.LastCheckpoint > 0 {
+		ch.LastCheckpoint = h.LastCheckpoint.String()
+	}
+	stats := co.SiteStats() // indexed site-1
+	for _, sh := range h.Sites {
+		if sh.Alive {
+			ch.SitesAlive++
+		}
+		csh := serve.ClusterSiteHealth{Site: sh.Site, Domains: sh.Domains, Alive: sh.Alive}
+		if sh.Site >= 1 && sh.Site <= len(stats) {
+			st := stats[sh.Site-1]
+			csh.FramesSent, csh.FramesRecv = st.Sent, st.Recv
+			csh.WireSentBytes, csh.WireRecvBytes = st.SentBytes, st.RecvBytes
+			csh.SentKindBytes = kindBytes(st.SentKindBytes)
+			csh.RecvKindBytes = kindBytes(st.RecvKindBytes)
+		}
+		ch.Sites = append(ch.Sites, csh)
+	}
+	return ch
+}
+
+// kindBytes folds a per-frame-kind byte counter array into a map keyed
+// by kind name, omitting idle kinds (nil when every kind is idle).
+func kindBytes(a [wire.FrameKindMax + 1]uint64) map[string]uint64 {
+	var m map[string]uint64
+	for k := wire.FrameKind(1); k <= wire.FrameKindMax; k++ {
+		if a[k] == 0 {
+			continue
+		}
+		if m == nil {
+			m = make(map[string]uint64)
+		}
+		m[k.String()] = a[k]
+	}
+	return m
 }

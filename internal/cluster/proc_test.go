@@ -4,8 +4,9 @@ package cluster
 // the whole cluster path runs under the detector), launch a coordinator
 // and a joiner as separate OS processes over TCP loopback, drive a
 // multi-site AGG plus a standing query through them, and assert the
-// merged aggregate is bit-identical to a single-process run of the same
-// seed computed in this test.
+// merged aggregate is bit-identical both to the same binary run
+// single-process with the same flags and to a single-process run of the
+// same seed computed in this test.
 
 import (
 	"bufio"
@@ -15,6 +16,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -46,7 +48,10 @@ func TestTwoProcessClusterSmoke(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
 
-	coordArgs := append([]string{"-listen", "127.0.0.1:0", "-sites", "2", "-every", "1h"}, prestodFlags...)
+	// -queries 0: the NOW/PAST query mix would add scatter frames on top
+	// of the one-per-round ledger asserted below.
+	driverArgs := []string{"-every", "1h", "-queries", "0"}
+	coordArgs := append(append([]string{"-listen", "127.0.0.1:0", "-sites", "2"}, driverArgs...), prestodFlags...)
 	coord := exec.CommandContext(ctx, bin, coordArgs...)
 	stdout, err := coord.StdoutPipe()
 	if err != nil {
@@ -99,9 +104,11 @@ func TestTwoProcessClusterSmoke(t *testing.T) {
 	}
 	var mean, bound float64
 	var count, scatter, partials, snaps int
+	var aggLine string
 	gotAgg, gotFrames, gotSnaps := false, false, false
 	for l := range lines {
 		if m := aggRe.FindStringSubmatch(l); m != nil {
+			aggLine = l
 			mean, _ = strconv.ParseFloat(m[1], 64)
 			bound, _ = strconv.ParseFloat(m[2], 64)
 			count, _ = strconv.Atoi(m[3])
@@ -136,17 +143,33 @@ func TestTwoProcessClusterSmoke(t *testing.T) {
 	}
 
 	// Single-process reference with the same seed and schedule as
-	// prestod's cluster mode: train 24h (half of 2 days), run half the
-	// remainder quietly, then the trailing 2h mean over all motes.
+	// prestod's: train 24h (half of 2 days), run half the remainder
+	// quietly, then the trailing 2h mean over all motes.
 	ref := singleProcessReference(t)
 	if mean != ref.Value || bound != ref.ErrBound || count != ref.Count {
 		t.Errorf("2-process AGG (%.17g ± %.17g, n=%d) != single-process (%.17g ± %.17g, n=%d)",
 			mean, bound, count, ref.Value, ref.ErrBound, ref.Count)
 	}
+
+	// Same flags, same answer: the binary run single-process prints the
+	// identical AGG line.
+	soloOut, err := exec.CommandContext(ctx, bin, append(driverArgs, prestodFlags...)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("single-process prestod failed: %v\n%s", err, soloOut)
+	}
+	soloLine := ""
+	for _, l := range strings.Split(string(soloOut), "\n") {
+		if aggRe.MatchString(l) {
+			soloLine = l
+		}
+	}
+	if soloLine != aggLine {
+		t.Errorf("single-process AGG line %q != coordinator's %q", soloLine, aggLine)
+	}
 }
 
-// singleProcessReference replicates prestod's cluster-mode deployment
-// and schedule inside one process.
+// singleProcessReference replicates prestod's deployment and schedule
+// inside one process.
 func singleProcessReference(t *testing.T) query.SetResult {
 	t.Helper()
 	genCfg := gen.DefaultTempConfig()
