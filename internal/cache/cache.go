@@ -109,20 +109,25 @@ func (s *Series) InsertBatch(es []Entry) {
 // At returns the entry nearest to t within maxGap, preferring the closest
 // timestamp and breaking ties toward the earlier entry.
 func (s *Series) At(t simtime.Time, maxGap time.Duration) (Entry, bool) {
-	if len(s.entries) == 0 {
-		return Entry{}, false
-	}
-	i := s.find(t)
+	return nearest(s.entries, s.find(t), t, maxGap)
+}
+
+// nearest implements At given i, the index of the first entry with
+// T >= t.
+func nearest(entries []Entry, i int, t simtime.Time, maxGap time.Duration) (Entry, bool) {
 	best := -1
-	if i < len(s.entries) {
+	if i < len(entries) {
 		best = i
 	}
 	if i > 0 {
-		if best == -1 || t-s.entries[i-1].T <= s.entries[i].T-t {
+		if best == -1 || t-entries[i-1].T <= entries[i].T-t {
 			best = i - 1
 		}
 	}
-	e := s.entries[best]
+	if best < 0 {
+		return Entry{}, false
+	}
+	e := entries[best]
 	gap := e.T - t
 	if gap < 0 {
 		gap = -gap
@@ -157,25 +162,89 @@ func (s *Series) LastConfirmed() (Entry, bool) {
 	return Entry{}, false
 }
 
-// ConfirmedBefore returns up to limit confirmed entries with T <= t as
-// model records (oldest first), for use as prediction shared history.
-func (s *Series) ConfirmedBefore(t simtime.Time, limit int) []model.Record {
+// AppendConfirmedBefore appends up to limit confirmed entries with T <= t
+// to dst as model records (oldest first) and returns the extended slice:
+// the prediction shared history at t. Callers pass a reused buffer so a
+// prediction costs no allocation.
+func (s *Series) AppendConfirmedBefore(dst []model.Record, t simtime.Time, limit int) []model.Record {
+	return s.appendConfirmed(dst, s.find(t+1), limit)
+}
+
+// appendConfirmed appends the last limit confirmed entries before index
+// hi, oldest first: one backward scan finds where they start, one forward
+// scan copies them.
+func (s *Series) appendConfirmed(dst []model.Record, hi, limit int) []model.Record {
 	if limit <= 0 {
-		return nil
+		return dst
 	}
-	var out []model.Record
-	hi := s.find(t + 1)
-	for i := hi - 1; i >= 0 && len(out) < limit; i-- {
-		if s.entries[i].Source != Predicted {
-			out = append(out, model.Record{T: s.entries[i].T, V: s.entries[i].V})
+	lo, n := hi, 0
+	for lo > 0 && n < limit {
+		lo--
+		if s.entries[lo].Source != Predicted {
+			n++
 		}
 	}
-	// Reverse to oldest-first.
-	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
-		out[i], out[j] = out[j], out[i]
+	for _, e := range s.entries[lo:hi] {
+		if e.Source != Predicted {
+			dst = append(dst, model.Record{T: e.T, V: e.V})
+		}
 	}
-	return out
+	return dst
 }
+
+// Cursor walks a series forward in time for a non-decreasing sequence of
+// instants, answering what At and AppendConfirmedBefore would at each
+// one without a binary search or an allocation per step: the
+// nearest-entry position only moves forward, and the shared history is a
+// rolling window of the last limit confirmed entries. The series must
+// not change while a cursor is in use.
+type Cursor struct {
+	entries []Entry
+	t       simtime.Time
+	j       int // first entry with T >= t
+	hi      int // first entry with T > t
+	limit   int
+	hist    []model.Record // last limit confirmed entries before hi, oldest first
+}
+
+// Cursor returns a cursor positioned at t0 whose shared history has at
+// most limit records, kept in buf (reused from buf[:0]).
+func (s *Series) Cursor(t0 simtime.Time, limit int, buf []model.Record) Cursor {
+	j := s.find(t0)
+	hi := j
+	if hi < len(s.entries) && s.entries[hi].T == t0 {
+		hi++ // timestamps are unique
+	}
+	return Cursor{entries: s.entries, t: t0, j: j, hi: hi, limit: limit, hist: s.appendConfirmed(buf[:0], hi, limit)}
+}
+
+// Seek moves the cursor forward to t; t must not be before the cursor's
+// current instant.
+func (c *Cursor) Seek(t simtime.Time) {
+	c.t = t
+	for c.j < len(c.entries) && c.entries[c.j].T < t {
+		c.j++
+	}
+	for c.hi < len(c.entries) && c.entries[c.hi].T <= t {
+		if e := c.entries[c.hi]; e.Source != Predicted && c.limit > 0 {
+			if len(c.hist) == c.limit {
+				copy(c.hist, c.hist[1:])
+				c.hist = c.hist[:c.limit-1]
+			}
+			c.hist = append(c.hist, model.Record{T: e.T, V: e.V})
+		}
+		c.hi++
+	}
+}
+
+// At is Series.At at the cursor's instant.
+func (c *Cursor) At(maxGap time.Duration) (Entry, bool) {
+	return nearest(c.entries, c.j, c.t, maxGap)
+}
+
+// History is AppendConfirmedBefore at the cursor's instant. The slice is
+// the cursor's own buffer: valid until the next Seek.
+func (c *Cursor) History() []model.Record { return c.hist }
 
 // ConfirmedRange returns confirmed entries in [t0, t1] as model records,
 // e.g. as training data for model refresh.

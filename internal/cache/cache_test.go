@@ -2,11 +2,13 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"presto/internal/model"
 	"presto/internal/simtime"
 )
 
@@ -147,17 +149,53 @@ func TestConfirmedBefore(t *testing.T) {
 		}
 		s.Insert(Entry{T: simtime.Time(i) * simtime.Minute, V: float64(i), Source: src})
 	}
-	got := s.ConfirmedBefore(5*simtime.Minute, 10)
+	got := s.AppendConfirmedBefore(nil, 5*simtime.Minute, 10)
 	// Confirmed at 1,3,5 -> oldest first.
 	if len(got) != 3 || got[0].V != 1 || got[2].V != 5 {
 		t.Fatalf("ConfirmedBefore=%+v", got)
 	}
-	got = s.ConfirmedBefore(5*simtime.Minute, 2)
+	got = s.AppendConfirmedBefore(nil, 5*simtime.Minute, 2)
 	if len(got) != 2 || got[0].V != 3 || got[1].V != 5 {
 		t.Fatalf("limit wrong: %+v", got)
 	}
-	if got := s.ConfirmedBefore(simtime.Hour, 0); got != nil {
+	if got := s.AppendConfirmedBefore(nil, simtime.Hour, 0); got != nil {
 		t.Fatal("limit 0 should be nil")
+	}
+	// Appends after what the caller's buffer already holds.
+	buf := []model.Record{{T: -1, V: -1}}
+	got = s.AppendConfirmedBefore(buf, 3*simtime.Minute, 10)
+	if len(got) != 3 || got[0].V != -1 || got[1].V != 1 || got[2].V != 3 {
+		t.Fatalf("append to a non-empty buffer: %+v", got)
+	}
+}
+
+// TestCursorMatchesSeries walks cursors over random series and checks
+// every step against the binary-search lookups it replaces.
+func TestCursorMatchesSeries(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		s := NewSeries()
+		for i := rng.Intn(40); i > 0; i-- {
+			s.Insert(Entry{T: simtime.Time(rng.Intn(120)) * simtime.Second, V: rng.Float64(), Source: Source(rng.Intn(3))})
+		}
+		limit := rng.Intn(5)
+		maxGap := time.Duration(rng.Intn(20)) * time.Second
+		t0 := simtime.Time(rng.Intn(130)-5) * simtime.Second
+		c := s.Cursor(t0, limit, nil)
+		for tt := t0; tt < 140*simtime.Second; tt += simtime.Time(rng.Intn(9)) * simtime.Second {
+			c.Seek(tt)
+			e, ok := c.At(maxGap)
+			we, wok := s.At(tt, maxGap)
+			if e != we || ok != wok {
+				t.Fatalf("trial %d t=%v: cursor At=%+v,%v, series At=%+v,%v", trial, tt, e, ok, we, wok)
+			}
+			if h, want := c.History(), s.AppendConfirmedBefore(nil, tt, limit); len(h) != len(want) || (len(h) > 0 && !reflect.DeepEqual(h, want)) {
+				t.Fatalf("trial %d t=%v limit %d: cursor history %+v, want %+v", trial, tt, limit, h, want)
+			}
+			if rng.Intn(4) == 0 {
+				tt++ // off the whole-second grid
+			}
+		}
 	}
 }
 

@@ -87,6 +87,12 @@ func gatherSpec(sh *shard, spec query.Spec, motes []radio.NodeID, parts chan<- q
 		return
 	}
 	remaining := len(fallback)
+	settled := func() {
+		remaining--
+		if remaining == 0 {
+			parts <- *sp
+		}
+	}
 	onDone := func(r query.Result, ok bool) {
 		switch {
 		case !ok:
@@ -96,17 +102,23 @@ func gatherSpec(sh *shard, spec query.Spec, motes []radio.NodeID, parts chan<- q
 		default:
 			sp.Results = append(sp.Results, r)
 		}
-		remaining--
-		if remaining == 0 {
-			parts <- *sp
-		}
+		settled()
 	}
-	// One shared callback and a pendingQuery slab instead of a closure +
-	// allocation per mote.
+	// Fold-first: an AGG mote the proxy's cache and model cover folds
+	// into the partial as it executes, in the order its answer would
+	// have been observed; only motes that wait on a rendezvous keep the
+	// callback. One shared callback and a pendingQuery slab instead of a
+	// closure + allocation per mote.
+	var part *query.Partial
+	if agg {
+		part = &sp.Partial
+	}
 	pqs := make([]pendingQuery, len(fallback))
 	for i, m := range fallback {
 		pqs[i].fn = onDone
-		sh.submit(spec.QueryFor(m), &pqs[i])
+		if sh.submit(spec.QueryFor(m), &pqs[i], part) {
+			settled()
+		}
 	}
 }
 
@@ -545,7 +557,7 @@ func (rq *replicaQuery) settle(s *shard) {
 		s.st.SetTrace(rq.tr, s.domain)
 		defer s.st.SetTrace(nil, 0)
 	}
-	s.submit(rq.q, &rq.pq)
+	s.submit(rq.q, &rq.pq, nil)
 }
 
 // deliver sends the query's SetResult; it runs exactly once, on whichever

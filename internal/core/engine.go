@@ -177,17 +177,24 @@ func (s *shard) failPending() {
 
 // submit executes one query on the worker, registering it for settling.
 // Answers that need a mote rendezvous land while the worker settles (or
-// during the remaining chunks of an in-progress advance).
-func (s *shard) submit(q query.Query, pq *pendingQuery) {
+// during the remaining chunks of an in-progress advance). With a non-nil
+// part, an AGG answer available without a rendezvous folds straight into
+// part instead (store.ExecuteInto): submit then reports true and pq.fn
+// never runs.
+func (s *shard) submit(q query.Query, pq *pendingQuery, part *query.Partial) (folded bool) {
 	s.pending[pq] = struct{}{}
-	err := s.st.Execute(q, func(r query.Result) {
+	folded, err := s.st.ExecuteInto(q, part, func(r query.Result) {
 		delete(s.pending, pq)
 		pq.fn(r, true)
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		delete(s.pending, pq)
 		pq.fn(query.Result{}, false)
+	case folded:
+		delete(s.pending, pq)
 	}
+	return folded
 }
 
 // advance runs the domain forward by d. Multi-domain deployments chunk

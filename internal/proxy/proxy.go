@@ -204,6 +204,11 @@ type Proxy struct {
 
 	watches   []*watch
 	nextWatch WatchID
+
+	// hist is the reused shared-history buffer every prediction reads
+	// (predict, assembleRange). A proxy is confined to its domain's
+	// worker, so one buffer suffices.
+	hist []model.Record
 }
 
 // New attaches a proxy to the medium. Proxies are tethered: their radio is
@@ -537,20 +542,23 @@ func (p *Proxy) pullPoint(st *moteState, t simtime.Time, issued simtime.Time, cb
 	}
 	p.pull(st, t0, t1, 0, func(recs []wire.Rec, errBound float64, timedOut bool) {
 		if timedOut {
-			shared := st.series.ConfirmedBefore(t, p.cfg.SharedHistory)
-			v := st.mdl.Predict(t, shared)
-			e := cache.Entry{T: t, V: v, Source: cache.Predicted, ErrBound: st.delta}
+			e := cache.Entry{T: t, V: p.predict(st, t), Source: cache.Predicted, ErrBound: st.delta}
 			p.finish(cb, Answer{Mote: id, Entries: []cache.Entry{e}, Source: FromTimeout, IssuedAt: issued, DoneAt: p.sim.Now()})
 			return
 		}
 		e, ok := st.series.At(t, maxGap)
 		if !ok {
-			e = cache.Entry{T: t, Source: cache.Predicted, ErrBound: st.delta}
-			shared := st.series.ConfirmedBefore(t, p.cfg.SharedHistory)
-			e.V = st.mdl.Predict(t, shared)
+			e = cache.Entry{T: t, V: p.predict(st, t), Source: cache.Predicted, ErrBound: st.delta}
 		}
 		p.finish(cb, Answer{Mote: id, Entries: []cache.Entry{e}, Source: FromPull, IssuedAt: issued, DoneAt: p.sim.Now()})
 	})
+}
+
+// predict extrapolates the mote's model to t from the shared history the
+// cache holds at t.
+func (p *Proxy) predict(st *moteState, t simtime.Time) float64 {
+	p.hist = st.series.AppendConfirmedBefore(p.hist[:0], t, p.cfg.SharedHistory)
+	return st.mdl.Predict(t, p.hist)
 }
 
 // localAnswer tries the pull-free answer paths for one instant, in the
@@ -573,9 +581,7 @@ func (p *Proxy) localAnswer(st *moteState, t simtime.Time, precision float64) (c
 	// 2b. Extrapolate: the model plus the push contract bounds the error
 	// by delta wherever the mote has been silent.
 	if st.delta <= precision {
-		shared := st.series.ConfirmedBefore(t, p.cfg.SharedHistory)
-		v := st.mdl.Predict(t, shared)
-		e := cache.Entry{T: t, V: v, Source: cache.Predicted, ErrBound: st.delta}
+		e := cache.Entry{T: t, V: p.predict(st, t), Source: cache.Predicted, ErrBound: st.delta}
 		st.series.Insert(e)
 		return e, FromModel, true
 	}
@@ -657,12 +663,37 @@ func (p *Proxy) QueryRange(id radio.NodeID, t0, t1 simtime.Time, precision float
 		cb(Answer{Mote: id, IssuedAt: issued, DoneAt: issued})
 		return
 	}
-	entries, allGood := p.assembleRange(st, t0, t1, precision)
-	if allGood {
+	if p.rangeCovered(st, t0, t1, precision) {
+		entries, _ := p.assembleRange(st, t0, t1, precision)
 		p.finish(cb, Answer{Mote: id, Entries: entries, Source: FromCache, IssuedAt: issued, DoneAt: p.sim.Now()})
 		return
 	}
 	p.pullRange(st, t0, t1, precision, issued, cb)
+}
+
+// Observer accumulates a range answer slot by slot without materializing
+// it; *query.Partial is one.
+type Observer interface {
+	Observe(v, errBound float64)
+}
+
+// FoldRange is QueryRangeBounded for an aggregate, answered fold-first:
+// when the cache and model cover [t0, t1] within precision and the
+// freshness bound forces no rendezvous, each slot's value and bound go to
+// obs in slot order — exactly the entries QueryRange would have answered
+// with, never materialized — the answer is counted as a cache answer, and
+// FoldRange reports true. Otherwise it reports false having changed
+// nothing: the caller takes the QueryRangeBounded path, which pays the
+// rendezvous.
+func (p *Proxy) FoldRange(id radio.NodeID, t0, t1 simtime.Time, precision float64, maxStale time.Duration, obs Observer) bool {
+	st, ok := p.motes[id]
+	if !ok || t1 < t0 || p.staleTail(id, t1, maxStale) || !p.rangeCovered(st, t0, t1, precision) {
+		return false
+	}
+	p.walkRange(st, t0, t1, precision, func(e cache.Entry) { obs.Observe(e.V, e.ErrBound) })
+	p.stats.QueriesAnswered++
+	p.stats.AnswersBySource[FromCache]++
+	return true
 }
 
 // pullRange pays the archive rendezvous for a range query and answers
@@ -706,7 +737,7 @@ func (p *Proxy) QueryRangeBounded(id radio.NodeID, t0, t1 simtime.Time, precisio
 		cb(Answer{Mote: id, IssuedAt: now, DoneAt: now})
 		return
 	}
-	if maxStale <= 0 || t1+simtime.Time(maxStale) < now || p.FreshWithin(id, now, maxStale) {
+	if !p.staleTail(id, t1, maxStale) {
 		p.QueryRange(id, t0, t1, precision, cb)
 		return
 	}
@@ -714,29 +745,81 @@ func (p *Proxy) QueryRangeBounded(id radio.NodeID, t0, t1 simtime.Time, precisio
 	p.pullRange(st, t0, t1, precision, now, cb)
 }
 
+// staleTail reports whether a range query's freshness bound forces a
+// rendezvous: the window tail overlaps the staleness horizon and the
+// newest confirmed observation is older than maxStale.
+func (p *Proxy) staleTail(id radio.NodeID, t1 simtime.Time, maxStale time.Duration) bool {
+	now := p.sim.Now()
+	return maxStale > 0 && t1+simtime.Time(maxStale) >= now && !p.FreshWithin(id, now, maxStale)
+}
+
+// maxRangePrealloc caps assembleRange's up-front allocation, so an absurd
+// window grows its output as it goes instead of reserving it all at once.
+const maxRangePrealloc = 1 << 16
+
+// rangeStep is the slot width of a mote's range answers.
+func rangeStep(st *moteState) simtime.Time {
+	if st.sampleInterval <= 0 {
+		return simtime.Minute
+	}
+	return st.sampleInterval
+}
+
 // assembleRange builds one entry per sample interval over [t0, t1] from
 // cache + model, reporting whether every entry met the precision.
 func (p *Proxy) assembleRange(st *moteState, t0, t1 simtime.Time, precision float64) ([]cache.Entry, bool) {
-	step := st.sampleInterval
-	if step <= 0 {
-		step = simtime.Minute
+	n := 0
+	if t1 >= t0 {
+		n = maxRangePrealloc
+		if slots := uint64(t1-t0) / uint64(rangeStep(st)); slots < maxRangePrealloc {
+			n = int(slots) + 1
+		}
 	}
-	var out []cache.Entry
+	out := make([]cache.Entry, 0, n)
+	allGood := p.walkRange(st, t0, t1, precision, func(e cache.Entry) { out = append(out, e) })
+	return out, allGood
+}
+
+// walkRange emits one entry per slot t0, t0+step, ... <= t1: the cached
+// entry nearest the slot when one lies within half a step and meets the
+// precision, else the model's prediction from the shared history at the
+// slot. It reports whether every entry met the precision. One cursor walks
+// the cache forward, so a slot costs no search and no allocation.
+func (p *Proxy) walkRange(st *moteState, t0, t1 simtime.Time, precision float64, emit func(cache.Entry)) bool {
+	step := rangeStep(st)
+	cur := st.series.Cursor(t0, p.cfg.SharedHistory, p.hist)
 	allGood := true
 	for t := t0; t <= t1; t += step {
-		if e, ok := st.series.At(t, time.Duration(step)/2); ok && e.ErrBound <= precision {
-			out = append(out, e)
+		cur.Seek(t)
+		if e, ok := cur.At(time.Duration(step) / 2); ok && e.ErrBound <= precision {
+			emit(e)
 			continue
 		}
-		shared := st.series.ConfirmedBefore(t, p.cfg.SharedHistory)
-		v := st.mdl.Predict(t, shared)
-		e := cache.Entry{T: t, V: v, Source: cache.Predicted, ErrBound: st.delta}
-		out = append(out, e)
+		emit(cache.Entry{T: t, V: st.mdl.Predict(t, cur.History()), Source: cache.Predicted, ErrBound: st.delta})
 		if st.delta > precision {
 			allGood = false
 		}
 	}
-	return out, allGood
+	p.hist = cur.History()[:0]
+	return allGood
+}
+
+// rangeCovered reports whether walkRange would find every slot within
+// precision, without predicting: a model within precision covers any
+// slot, otherwise every slot needs a cached entry that meets it.
+func (p *Proxy) rangeCovered(st *moteState, t0, t1 simtime.Time, precision float64) bool {
+	if st.delta <= precision {
+		return true
+	}
+	step := rangeStep(st)
+	cur := st.series.Cursor(t0, 0, nil)
+	for t := t0; t <= t1; t += step {
+		cur.Seek(t)
+		if e, ok := cur.At(time.Duration(step) / 2); !ok || e.ErrBound > precision {
+			return false
+		}
+	}
+	return true
 }
 
 // insertPulled refines the cache with archive records.

@@ -20,7 +20,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"strconv"
 	"time"
+	"unicode/utf8"
 
 	"presto/internal/cache"
 	"presto/internal/proxy"
@@ -273,42 +276,297 @@ type siteErrWire struct {
 
 // EncodeSetResultJSON renders one round of a spec as JSON. NaN aggregate
 // values (an empty-window aggregate) are omitted rather than breaking the
-// encoder; the error code says why.
+// encoder; the error code says why. The output is byte for byte what
+// encoding/json makes of setResultWire, the shape the decoder reads, but
+// it is appended by hand — no reflection, no per-entry allocation.
 func EncodeSetResultJSON(r SetResult) ([]byte, error) {
-	w := setResultWire{
-		Seq:    r.Seq,
-		At:     Dur(r.At),
-		Count:  r.Count,
-		Failed: r.Failed,
-	}
-	if !math.IsNaN(r.Value) && (r.Count > 0 || r.Value != 0 || r.ErrBound != 0) {
-		v, e := r.Value, r.ErrBound
-		w.Value, w.ErrBound = &v, &e
-	}
+	size := 64 + 48*len(r.SiteErrs)
 	for _, res := range r.Results {
-		rw := resultWire{
-			Mote:     int(res.Query.Mote),
-			Source:   res.Answer.Source.String(),
-			IssuedAt: Dur(res.Answer.IssuedAt),
-			DoneAt:   Dur(res.Answer.DoneAt),
-		}
-		if res.Err != nil {
-			rw.Error, rw.Code = res.Err.Error(), ErrCode(res.Err)
-		}
-		for _, e := range res.Answer.Entries {
-			rw.Entries = append(rw.Entries, entryWire{
-				T: Dur(e.T), V: e.V, ErrBound: e.ErrBound, Source: e.Source.String(),
-			})
-		}
-		w.Results = append(w.Results, rw)
+		size += 96 + 80*len(res.Answer.Entries)
 	}
-	for _, se := range r.SiteErrs {
-		w.SiteErrs = append(w.SiteErrs, siteErrWire{Site: se.Site, Error: se.Err.Error(), Code: ErrCode(se.Err)})
+	b := make([]byte, 0, size)
+	var err error
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendInt(b, int64(r.Seq), 10)
+	b = append(b, `,"at":`...)
+	b = appendJSONDur(b, time.Duration(r.At))
+	if !math.IsNaN(r.Value) && (r.Count > 0 || r.Value != 0 || r.ErrBound != 0) {
+		b = append(b, `,"value":`...)
+		if b, err = appendJSONFloat(b, r.Value); err != nil {
+			return nil, err
+		}
+		b = append(b, `,"err_bound":`...)
+		if b, err = appendJSONFloat(b, r.ErrBound); err != nil {
+			return nil, err
+		}
 	}
-	if r.Err != nil {
-		w.Error, w.Code = r.Err.Error(), ErrCode(r.Err)
+	b = appendIntField(b, `,"count":`, r.Count)
+	if len(r.Results) > 0 {
+		b = append(b, `,"results":[`...)
+		for i, res := range r.Results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = appendResultJSON(b, res); err != nil {
+				return nil, err
+			}
+		}
+		b = append(b, ']')
 	}
-	return json.Marshal(w)
+	b = appendIntField(b, `,"failed":`, r.Failed)
+	if len(r.SiteErrs) > 0 {
+		b = append(b, `,"site_errors":[`...)
+		for i, se := range r.SiteErrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"site":`...)
+			b = strconv.AppendInt(b, int64(se.Site), 10)
+			b = append(b, `,"error":`...)
+			b = appendJSONString(b, se.Err.Error())
+			b = appendErrCode(b, se.Err)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = appendErr(b, r.Err)
+	return append(b, '}'), nil
+}
+
+// appendResultJSON appends one per-mote result as its resultWire object.
+func appendResultJSON(b []byte, res Result) ([]byte, error) {
+	var err error
+	b = append(b, `{"mote":`...)
+	b = strconv.AppendInt(b, int64(res.Query.Mote), 10)
+	b = append(b, `,"source":`...)
+	b = appendJSONString(b, res.Answer.Source.String())
+	if len(res.Answer.Entries) > 0 {
+		b = append(b, `,"entries":[`...)
+		for i, e := range res.Answer.Entries {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"t":`...)
+			b = appendJSONDur(b, time.Duration(e.T))
+			b = append(b, `,"v":`...)
+			if b, err = appendJSONFloat(b, e.V); err != nil {
+				return nil, err
+			}
+			if e.ErrBound != 0 {
+				b = append(b, `,"err_bound":`...)
+				if b, err = appendJSONFloat(b, e.ErrBound); err != nil {
+					return nil, err
+				}
+			}
+			b = append(b, `,"source":`...)
+			b = appendJSONString(b, e.Source.String())
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if res.Answer.IssuedAt != 0 {
+		b = append(b, `,"issued_at":`...)
+		b = appendJSONDur(b, time.Duration(res.Answer.IssuedAt))
+	}
+	if res.Answer.DoneAt != 0 {
+		b = append(b, `,"done_at":`...)
+		b = appendJSONDur(b, time.Duration(res.Answer.DoneAt))
+	}
+	return append(appendErr(b, res.Err), '}'), nil
+}
+
+// appendIntField appends an omitempty integer field.
+func appendIntField(b []byte, key string, v int) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), int64(v), 10)
+}
+
+// appendErr appends the omitempty "error" and "code" fields of err.
+func appendErr(b []byte, err error) []byte {
+	if err == nil {
+		return b
+	}
+	if msg := err.Error(); msg != "" {
+		b = append(b, `,"error":`...)
+		b = appendJSONString(b, msg)
+	}
+	return appendErrCode(b, err)
+}
+
+// appendErrCode appends the omitempty "code" field of err.
+func appendErrCode(b []byte, err error) []byte {
+	if code := ErrCode(err); code != "" {
+		b = append(b, `,"code":`...)
+		b = appendJSONString(b, code)
+	}
+	return b
+}
+
+// appendJSONFloat appends f as encoding/json formats a float64: the shortest
+// decimal that round-trips, in exponent form only below 1e-6 or from
+// 1e21 up, with the exponent unpadded. NaN and ±Inf have no JSON form.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 -> e-9
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json does:
+// HTML-sensitive <, > and & escaped, control characters as \uXXXX
+// except the short escapes, invalid UTF-8 as \ufffd, and U+2028/U+2029
+// escaped.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	return append(append(b, s[start:]...), '"')
+}
+
+// appendJSONDur appends d as a JSON string in time.Duration's String form
+// ("1h2m3.5s", "1.5µs", "0s"), formatted in place.
+func appendJSONDur(b []byte, d time.Duration) []byte {
+	// Largest duration is 2562047h47m16.854775808s.
+	var buf [32]byte
+	w := len(buf)
+	u := uint64(d)
+	if d < 0 {
+		u = -u
+	}
+	w--
+	buf[w] = 's'
+	if u < uint64(time.Second) {
+		// Below a second: one unit, ns, µs or ms, with a fraction.
+		prec := 0
+		switch {
+		case u == 0:
+			return append(b, `"0s"`...)
+		case u < uint64(time.Microsecond):
+			w--
+			buf[w] = 'n'
+		case u < uint64(time.Millisecond):
+			prec = 3
+			w -= 2
+			copy(buf[w:], "µ")
+		default:
+			prec = 6
+			w--
+			buf[w] = 'm'
+		}
+		w, u = fmtFrac(buf[:w], u, prec)
+		w = fmtInt(buf[:w], u)
+	} else {
+		w, u = fmtFrac(buf[:w], u, 9)
+		w = fmtInt(buf[:w], u%60) // seconds
+		if u /= 60; u > 0 {
+			w--
+			buf[w] = 'm'
+			w = fmtInt(buf[:w], u%60) // minutes
+			if u /= 60; u > 0 {
+				w--
+				buf[w] = 'h'
+				w = fmtInt(buf[:w], u) // hours
+			}
+		}
+	}
+	if d < 0 {
+		w--
+		buf[w] = '-'
+	}
+	b = append(b, '"')
+	b = append(b, buf[w:]...)
+	return append(b, '"')
+}
+
+// fmtFrac writes the fraction of v/10^prec into the tail of buf without
+// trailing zeros (and without the point when the fraction is zero),
+// returning where it starts and v/10^prec.
+func fmtFrac(buf []byte, v uint64, prec int) (int, uint64) {
+	w := len(buf)
+	print := false
+	for i := 0; i < prec; i++ {
+		digit := v % 10
+		print = print || digit != 0
+		if print {
+			w--
+			buf[w] = byte(digit) + '0'
+		}
+		v /= 10
+	}
+	if print {
+		w--
+		buf[w] = '.'
+	}
+	return w, v
+}
+
+// fmtInt writes v in decimal into the tail of buf, returning where it
+// starts.
+func fmtInt(buf []byte, v uint64) int {
+	w := len(buf)
+	for {
+		w--
+		buf[w] = byte(v%10) + '0'
+		if v /= 10; v == 0 {
+			return w
+		}
+	}
 }
 
 // parseProxySource inverts proxy.Source.String.

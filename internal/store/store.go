@@ -57,6 +57,9 @@ type Store struct {
 	// to their shard worker, so a single buffer suffices.
 	scratch      []Record
 	scratchVisit func(Record)
+	// accepted is the reusable buffer slotCover compacts a covered span's
+	// slot records into.
+	accepted []Record
 
 	// tr is the trace of the query currently executing, set by the owning
 	// worker around Execute/ExecuteFold via SetTrace. Worker-confined like
@@ -178,13 +181,26 @@ func (s *Store) replica(pid index.ProxyID) (*proxy.Proxy, bool) {
 // MaxStaleness declines (ArchiveStale), and the proxy path pays the
 // rendezvous (proxy.QueryRangeBounded).
 func (s *Store) Execute(q query.Query, cb func(query.Result)) error {
+	_, err := s.ExecuteInto(q, nil, cb)
+	return err
+}
+
+// ExecuteInto is Execute for one mote of an aggregate round: with a
+// non-nil part and an AGG query, an answer available without a
+// rendezvous — from the archive, or from the proxy's cache and model —
+// folds straight into part, in the order Execute's entries would have
+// been observed, and ExecuteInto reports folded=true without calling cb.
+// Answers that wait on a rendezvous, and every other query, take
+// Execute's path: cb fires exactly once.
+func (s *Store) ExecuteInto(q query.Query, part *query.Partial, cb func(query.Result)) (folded bool, err error) {
 	pid, err := s.ix.ProxyFor(q.Mote)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if err := q.Validate(); err != nil {
-		return err
+		return false, err
 	}
+	fold := part != nil && q.Type == query.Agg
 	switch q.Type {
 	case query.Now:
 		if rp, ok := s.replica(pid); ok {
@@ -197,22 +213,30 @@ func (s *Store) Execute(q query.Query, cb func(query.Result)) error {
 			if a, ok := rp.QueryLocal(q.Mote, rp.Now(), q.Precision); ok {
 				s.tr.Route(int64(q.Mote), s.trDomain, obs.RouteReplicaHit)
 				cb(query.Result{Query: q, Answer: a})
-				return nil
+				return false, nil
 			}
 		}
 	case query.Past, query.Agg:
-		if a, ok := s.archiveAnswer(q, pid); ok {
+		if fold {
+			if s.archiveFold(q, pid, part) {
+				return true, nil
+			}
+		} else if a, ok := s.archiveAnswer(q, pid); ok {
 			s.rstats.ArchiveServed++
 			s.tr.Route(int64(q.Mote), s.trDomain, obs.RouteArchiveHit)
 			cb(resultFor(q, a))
-			return nil
+			return false, nil
 		}
 	}
 	p, ok := s.proxies[pid]
 	if !ok {
-		return fmt.Errorf("store: proxy %d not attached", pid)
+		return false, fmt.Errorf("store: proxy %d not attached", pid)
 	}
 	s.rstats.Routed++
+	if fold && p.FoldRange(q.Mote, q.T0, q.T1, q.Precision, q.MaxStaleness, part) {
+		s.tr.Route(int64(q.Mote), s.trDomain, obs.RouteCacheHit)
+		return true, nil
+	}
 	if s.tr != nil {
 		// The proxy decides cache/model/rendezvous, possibly after a pull
 		// resolves; wrap cb so the decision lands on the trace when it is
@@ -224,7 +248,7 @@ func (s *Store) Execute(q query.Query, cb func(query.Result)) error {
 		}
 	}
 	executeProxy(p, q, cb)
-	return nil
+	return false, nil
 }
 
 // executeProxy runs a validated query on its managing proxy, which
@@ -329,14 +353,14 @@ func (s *Store) archiveRecords(q query.Query, pid index.ProxyID) ([]Record, simt
 	return recs, step, true
 }
 
-// slotCover walks the T0-based sample-slot grid over time-sorted recs,
-// calling emit (when non-nil) for each slot's accepted record, skipping
-// records shared by adjacent slots. Returns false as soon as any slot
-// has no record within half a step meeting the precision. Shared by the
-// materializing and folding archive paths so both accept identical
-// records in identical order — the fold's float accumulation is
+// slotCover walks the T0-based sample-slot grid over time-sorted recs
+// once, appending each slot's accepted record to dst (records shared by
+// adjacent slots once), and returns the extended dst. ok is false as soon
+// as any slot has no record within half a step meeting the precision.
+// The materializing and folding archive paths both read the accepted
+// records it returns, in order, so the fold's float accumulation is
 // bit-identical to folding the materialized entries.
-func slotCover(recs []Record, t0, t1, step simtime.Time, precision float64, emit func(Record)) bool {
+func slotCover(dst, recs []Record, t0, t1, step simtime.Time, precision float64) (accepted []Record, ok bool) {
 	j := 0
 	prevT := simtime.Time(-1)
 	emitted := false
@@ -354,7 +378,7 @@ func slotCover(recs []Record, t0, t1, step simtime.Time, precision float64, emit
 			best = j - 1
 		}
 		if best < 0 {
-			return false
+			return dst, false
 		}
 		r := recs[best]
 		gap := r.T - t
@@ -362,17 +386,28 @@ func slotCover(recs []Record, t0, t1, step simtime.Time, precision float64, emit
 			gap = -gap
 		}
 		if gap > step/2 || r.ErrBound > precision {
-			return false // slot uncovered: proxy path decides
+			return dst, false // slot uncovered: proxy path decides
 		}
 		if emitted && r.T == prevT {
 			continue // off-grid T0: two adjacent slots share one record
 		}
 		emitted, prevT = true, r.T
-		if emit != nil {
-			emit(r)
-		}
+		dst = append(dst, r)
 	}
-	return true
+	return dst, true
+}
+
+// coveredRecords runs the archive gates and the slot walk for a range
+// query, returning the accepted slot records (in the store's reusable
+// buffer) when the archive covers the whole span.
+func (s *Store) coveredRecords(q query.Query, pid index.ProxyID) ([]Record, bool) {
+	recs, step, ok := s.archiveRecords(q, pid)
+	if !ok {
+		return nil, false
+	}
+	acc, ok := slotCover(s.accepted[:0], recs, q.T0, q.T1, step, q.Precision)
+	s.accepted = acc
+	return acc, ok
 }
 
 // archiveAnswer tries to satisfy a range query wholly from the archive
@@ -380,16 +415,13 @@ func slotCover(recs []Record, t0, t1, step simtime.Time, precision float64, emit
 // record within half a sample interval whose error bound meets the
 // precision.
 func (s *Store) archiveAnswer(q query.Query, pid index.ProxyID) (proxy.Answer, bool) {
-	recs, step, ok := s.archiveRecords(q, pid)
+	acc, ok := s.coveredRecords(q, pid)
 	if !ok {
 		return proxy.Answer{}, false
 	}
-	var entries []cache.Entry
-	covered := slotCover(recs, q.T0, q.T1, step, q.Precision, func(r Record) {
-		entries = append(entries, cache.Entry{T: r.T, V: r.V, Source: cache.Pulled, ErrBound: r.ErrBound})
-	})
-	if !covered {
-		return proxy.Answer{}, false
+	entries := make([]cache.Entry, len(acc))
+	for i, r := range acc {
+		entries[i] = cache.Entry{T: r.T, V: r.V, Source: cache.Pulled, ErrBound: r.ErrBound}
 	}
 	now := simtime.Time(0)
 	if p, ok := s.proxies[pid]; ok {
@@ -404,6 +436,22 @@ func (s *Store) archiveAnswer(q query.Query, pid index.ProxyID) (proxy.Answer, b
 	}, true
 }
 
+// archiveFold folds an AGG query's archived slot records into p when the
+// archive covers the whole span, reporting whether it did; p is untouched
+// otherwise.
+func (s *Store) archiveFold(q query.Query, pid index.ProxyID, p *query.Partial) bool {
+	acc, ok := s.coveredRecords(q, pid)
+	if !ok {
+		return false
+	}
+	for _, r := range acc {
+		p.Observe(r.V, r.ErrBound)
+	}
+	s.rstats.ArchiveServed++
+	s.tr.Route(int64(q.Mote), s.trDomain, obs.RouteArchiveHit)
+	return true
+}
+
 // ExecuteFold is the aggregate push-down fast path: when the archive can
 // serve an AGG query's whole span within precision, the slot records
 // fold straight into p — in exactly the order Execute's entry
@@ -411,8 +459,8 @@ func (s *Store) archiveAnswer(q query.Query, pid index.ProxyID) (proxy.Answer, b
 // accumulation is bit-identical — without building an Answer, a Result,
 // or a per-mote callback. done=false with a nil error means the archive
 // declined (and p is untouched): the caller must route the query through
-// Execute and pay the proxy path. A non-nil error is the same routing or
-// validation failure Execute would have returned.
+// Execute or ExecuteInto and take the proxy path. A non-nil error is the
+// same routing or validation failure Execute would have returned.
 func (s *Store) ExecuteFold(q query.Query, p *query.Partial) (done bool, err error) {
 	pid, err := s.ix.ProxyFor(q.Mote)
 	if err != nil {
@@ -424,23 +472,7 @@ func (s *Store) ExecuteFold(q query.Query, p *query.Partial) (done bool, err err
 	if q.Type != query.Agg {
 		return false, nil
 	}
-	recs, step, ok := s.archiveRecords(q, pid)
-	if !ok {
-		return false, nil
-	}
-	// Two passes: p must stay untouched unless the whole span is covered,
-	// and a fold into a temporary merged after the fact would change the
-	// float accumulation order. The records are already in scratch, so the
-	// second walk is cache-hot.
-	if !slotCover(recs, q.T0, q.T1, step, q.Precision, nil) {
-		return false, nil
-	}
-	slotCover(recs, q.T0, q.T1, step, q.Precision, func(r Record) {
-		p.Observe(r.V, r.ErrBound)
-	})
-	s.rstats.ArchiveServed++
-	s.tr.Route(int64(q.Mote), s.trDomain, obs.RouteArchiveHit)
-	return true, nil
+	return s.archiveFold(q, pid, p), nil
 }
 
 // Detections returns the globally time-ordered detection stream in
